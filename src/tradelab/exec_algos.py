@@ -277,7 +277,7 @@ class _ChildTracker:
     def __init__(self, sim: MarketSim, venue_id: str):
         self.sim = sim
         self.venue_id = venue_id
-        self.ids: set[str] = set()
+        self.ids: dict[str, None] = {}   # insertion-ordered: children in submission order
         self.submitted = 0
         self.other_volume = 0
         self.wiring = ExecutionWiring()
@@ -291,7 +291,7 @@ class _ChildTracker:
         return f"child-{self._count:04d}"
 
     def register(self, order: Order) -> None:
-        self.ids.add(order.order_id)
+        self.ids[order.order_id] = None
         self.submitted += order.quantity
 
     def harvest(self, trace: ExecutionTrace) -> int:
@@ -464,7 +464,7 @@ def _run_scheduled(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
 
 def _cancel_resting(tracker: _ChildTracker, sim: MarketSim) -> None:
     for vid, book in sim.books.items():
-        for oid in list(tracker.ids):
+        for oid in tracker.ids:
             if book.remaining(oid) > 0:
                 book.cancel(oid)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from tradelab.cost_model import mi_rate, risk_rate, sample_cost_surface
 from tradelab.exec_algos import ExecutionTrace, ExecutionWiring, run_algorithm
-from tradelab.optimizer import frontier, frontier_to_delimited, objective
+from tradelab.optimizer import frontier, frontier_to_delimited
 from tradelab.orderbook import (
     EventLog,
     Order,

@@ -17,16 +17,25 @@ Conventions:
       are re-evaluated after every mutation; neither is ever partially
       filled while pending.
     * All operations are sequential per book instance (single writer).
+    * Order ids are unique among the orders a book holds.
+
+Layout and cost: an index maps each order id to its resting entry or its
+pending order; each price level keeps its visible and hidden queues as
+insertion-ordered dicts keyed by order id; each side keeps its prices in one
+ascending list that matching reads in place. So ``cancel``, ``remaining`` and
+the best bid/ask are O(1) whatever the queue length; a market order or a
+passive limit costs the same at any book depth, plus the levels it empties
+or creates; ``snapshot`` is O(entries returned).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from itertools import chain
+from typing import NamedTuple, Optional, Union
 
 
 class Side(str, Enum):
@@ -115,8 +124,7 @@ class SubmitResult:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SnapshotEntry:
+class SnapshotEntry(NamedTuple):
     order_id: str
     quantity: int
     hidden: bool
@@ -173,13 +181,12 @@ class EventLog:
 # internal book structures
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Resting:
     order: Order
     visible_qty: int   # current display slice (0 for fully hidden entries)
     hidden_qty: int    # iceberg reserve, or the whole remainder when hidden
-    ts: int
-    seq: int
+    priority: tuple[int, int]   # (timestamp, sequence)
 
     @property
     def remaining(self) -> int:
@@ -187,12 +194,14 @@ class _Resting:
 
 
 class _Level:
+    """One price: FIFO queues as insertion-ordered dicts, order id -> entry."""
+
     __slots__ = ("price", "visible", "hidden")
 
     def __init__(self, price: int) -> None:
         self.price = price
-        self.visible: deque[_Resting] = deque()
-        self.hidden: deque[_Resting] = deque()
+        self.visible: dict[str, _Resting] = {}
+        self.hidden: dict[str, _Resting] = {}
 
     @property
     def empty(self) -> bool:
@@ -228,10 +237,12 @@ class OrderBook:
         self.last_trade_price: Optional[int] = None
         self._levels: dict[Side, dict[int, _Level]] = {Side.BUY: {}, Side.SELL: {}}
         self._prices: dict[Side, list[int]] = {Side.BUY: [], Side.SELL: []}  # ascending
-        self._index: dict[str, tuple] = {}   # order_id -> ("book", side, price) | ("stop"/"aon"/"gat",)
-        self._stops: list[tuple[int, Order]] = []   # (entry seq, order)
-        self._aons: list[tuple[int, Order]] = []
-        self._gats: list[tuple[int, int, Order]] = []   # heap (start, seq, order)
+        # order_id -> resting entry, or the pending stop/AON/GAT order itself
+        self._index: dict[str, Union[_Resting, Order]] = {}
+        self._stops: dict[str, Order] = {}   # in entry order
+        self._aons: dict[str, Order] = {}
+        # heap (start, seq, order); a cancelled GAT's entry stays until its start
+        self._gats: list[tuple[int, int, Order]] = []
         self._expiries: list[tuple[int, str]] = []      # heap (expiry tick, order_id)
         self._ledger: dict[str, _Ledger] = {}
         self._max_discretion: dict[Side, int] = {Side.BUY: 0, Side.SELL: 0}
@@ -255,12 +266,10 @@ class OrderBook:
         return (bid + ask) / 2.0
 
     def remaining(self, order_id: str) -> int:
-        loc = self._index.get(order_id)
-        if loc is None:
+        held = self._index.get(order_id)
+        if held is None:
             return 0
-        if loc[0] == "book":
-            return self._find_resting(order_id, loc).remaining
-        return self._pending_order(order_id, loc).quantity
+        return held.remaining if isinstance(held, _Resting) else held.quantity
 
     def ledger(self, order_id: str) -> tuple[int, int, int]:
         """(submitted, filled, cancelled) totals for an order id."""
@@ -296,9 +305,8 @@ class OrderBook:
             return SubmitResult((), Disposition.REJECTED, reason)
 
         if order.tif is Tif.GAT and order.tif_time is not None and order.tif_time > self.clock:
-            seq = self._next_seq()
-            heapq.heappush(self._gats, (order.tif_time, seq, order))
-            self._index[order.order_id] = ("gat",)
+            heapq.heappush(self._gats, (order.tif_time, self._next_seq(), order))
+            self._index[order.order_id] = order
             return SubmitResult((), Disposition.RESTING)
 
         result = self._enter(order)
@@ -308,8 +316,9 @@ class OrderBook:
     def _enter(self, order: Order) -> SubmitResult:
         """Place an active (non-GAT-deferred) order: match, rest, or pend."""
         if order.kind is OrderKind.STOP:
-            self._stops.append((self._next_seq(), order))
-            self._index[order.order_id] = ("stop",)
+            self._next_seq()   # pending entries draw a sequence number like resting ones
+            self._stops[order.order_id] = order
+            self._index[order.order_id] = order
             self._push_expiry(order)
             return SubmitResult((), Disposition.RESTING)
 
@@ -317,8 +326,9 @@ class OrderBook:
             order = self._convert_protection(order)
 
         if order.tif is Tif.AON:
-            self._aons.append((self._next_seq(), order))
-            self._index[order.order_id] = ("aon",)
+            self._next_seq()
+            self._aons[order.order_id] = order
+            self._index[order.order_id] = order
             self._push_expiry(order)
             fired = self._try_fire_aons()
             if any(o.order_id == order.order_id for o in fired):
@@ -355,6 +365,8 @@ class OrderBook:
         return SubmitResult(tuple(fills), disp)
 
     def _validate(self, order: Order) -> Optional[str]:
+        if order.order_id in self._index:
+            return "order id already held by the book"
         if order.quantity <= 0:
             return "quantity must be positive"
         display = order.display
@@ -421,37 +433,36 @@ class OrderBook:
             return True
         return price <= eff_limit if side is Side.BUY else price >= eff_limit
 
-    def _opposite_prices(self, side: Side) -> list[int]:
-        """Opposite-side prices in matching (best-first) order."""
-        prices = self._prices[side.opposite]
-        return list(prices) if side is Side.BUY else list(reversed(prices))
+    def _best_first(self, side: Side):
+        """The side's prices, best first, read in place (no copy)."""
+        prices = self._prices[side]
+        return reversed(prices) if side is Side.BUY else iter(prices)
 
     def _crossable(self, side: Side, needed: int, eff_limit: Optional[int]) -> int:
-        """Total quantity a taker could cross right now, mirroring _execute."""
+        """Total quantity a taker could cross right now, mirroring _execute.
+
+        Walks the opposite side best first: whole levels while the price is
+        acceptable, then the discretionary entries that reach the limit.
+        """
         total = 0
         opp = side.opposite
         levels = self._levels[opp]
-        reach_prices = []
-        for price in self._opposite_prices(side):
-            if not self._acceptable(side, price, eff_limit):
-                reach_prices.append(price)
-                continue
+        max_disc = self._max_discretion[opp]
+        for price in self._best_first(opp):
             level = levels[price]
-            total += sum(e.remaining for e in level.visible)
-            total += sum(e.remaining for e in level.hidden)
-            if total >= needed:
-                return total
-        if eff_limit is not None:
-            max_disc = self._max_discretion[opp]
-            for price in reach_prices:
-                if abs(price - eff_limit) > max_disc:
-                    break
-                level = levels[price]
-                for entry in list(level.visible) + list(level.hidden):
-                    if self._reaches(entry, eff_limit):
-                        total += entry.remaining
-                        if total >= needed:
-                            return total
+            if self._acceptable(side, price, eff_limit):
+                total += sum(e.remaining for e in level.visible.values())
+                total += sum(e.remaining for e in level.hidden.values())
+                if total >= needed:
+                    return total
+                continue
+            if abs(price - eff_limit) > max_disc:
+                break
+            for entry in chain(level.visible.values(), level.hidden.values()):
+                if self._reaches(entry, eff_limit):
+                    total += entry.remaining
+                    if total >= needed:
+                        return total
         return total
 
     def _reaches(self, entry: _Resting, eff_limit: int) -> bool:
@@ -466,12 +477,14 @@ class OrderBook:
         fills: list[Fill] = []
         opp = taker.side.opposite
         levels = self._levels[opp]
-        while qty > 0:
-            prices = self._opposite_prices(taker.side)
-            if not prices or not self._acceptable(taker.side, prices[0], eff_limit):
+        prices = self._prices[opp]
+        best = 0 if opp is Side.SELL else -1
+        while qty > 0 and prices:
+            price = prices[best]
+            if not self._acceptable(taker.side, price, eff_limit):
                 break
-            level = levels[prices[0]]
-            qty = self._consume_level(level, taker, qty, level.price, fills)
+            level = levels[price]
+            qty = self._consume_level(level, taker, qty, price, fills)
             self._drop_if_empty(opp, level)
         if qty > 0 and eff_limit is not None:
             qty = self._consume_discretionary(taker, qty, eff_limit, fills)
@@ -480,36 +493,36 @@ class OrderBook:
     def _consume_level(self, level: _Level, taker: Order, qty: int,
                        trade_price: int, fills: list[Fill]) -> int:
         while qty > 0 and level.visible:
-            entry = level.visible[0]
+            entry = next(iter(level.visible.values()))
             take = min(qty, entry.visible_qty)
             self._record_fill(taker, entry, trade_price, take, hidden=False, fills=fills)
             entry.visible_qty -= take
             qty -= take
             if entry.visible_qty == 0:
-                level.visible.popleft()
+                del level.visible[entry.order.order_id]
                 self._refill_or_retire(level, entry)
         while qty > 0 and level.hidden:
-            entry = level.hidden[0]
+            entry = next(iter(level.hidden.values()))
             take = min(qty, entry.hidden_qty)
             self._record_fill(taker, entry, trade_price, take, hidden=True, fills=fills)
             entry.hidden_qty -= take
             qty -= take
             if entry.hidden_qty == 0:
-                level.hidden.popleft()
-                self._index.pop(entry.order.order_id, None)
+                del level.hidden[entry.order.order_id]
+                del self._index[entry.order.order_id]
         return qty
 
     def _refill_or_retire(self, level: _Level, entry: _Resting) -> None:
+        """Follow-up to taking an entry's display slice out of ``level.visible``."""
         if entry.hidden_qty > 0:
             # Iceberg refresh: new display slice, fresh priority (time priority lost).
             refill = min(entry.order.display, entry.hidden_qty)
             entry.visible_qty = refill
             entry.hidden_qty -= refill
-            entry.ts = self.clock
-            entry.seq = self._next_seq()
-            level.visible.append(entry)
+            entry.priority = (self.clock, self._next_seq())
+            level.visible[entry.order.order_id] = entry
         else:
-            self._index.pop(entry.order.order_id, None)
+            del self._index[entry.order.order_id]
 
     def _consume_discretionary(self, taker: Order, qty: int, eff_limit: int,
                                fills: list[Fill]) -> int:
@@ -523,41 +536,40 @@ class OrderBook:
         levels = self._levels[opp]
         max_disc = self._max_discretion[opp]
         while qty > 0:
-            matched = False
-            for price in self._opposite_prices(taker.side):
+            for price in self._best_first(opp):
                 if self._acceptable(taker.side, price, eff_limit):
                     continue
                 if abs(price - eff_limit) > max_disc:
-                    break
+                    return qty
                 level = levels[price]
-                entry = next((e for e in level.visible if self._reaches(e, eff_limit)), None)
-                hidden = False
-                if entry is None:
-                    entry = next((e for e in level.hidden if self._reaches(e, eff_limit)), None)
-                    hidden = True
-                if entry is None:
-                    continue
-                if hidden:
-                    take = min(qty, entry.hidden_qty)
-                    self._record_fill(taker, entry, eff_limit, take, hidden=True, fills=fills)
-                    entry.hidden_qty -= take
-                    qty -= take
-                    if entry.hidden_qty == 0:
-                        level.hidden.remove(entry)
-                        self._index.pop(entry.order.order_id, None)
-                else:
-                    take = min(qty, entry.visible_qty)
-                    self._record_fill(taker, entry, eff_limit, take, hidden=False, fills=fills)
-                    entry.visible_qty -= take
-                    qty -= take
-                    if entry.visible_qty == 0:
-                        level.visible.remove(entry)
-                        self._refill_or_retire(level, entry)
-                self._drop_if_empty(opp, level)
-                matched = True
-                break
-            if not matched:
-                break
+                entry = next((e for e in level.visible.values()
+                              if self._reaches(e, eff_limit)), None)
+                if entry is not None:
+                    break
+                entry = next((e for e in level.hidden.values()
+                              if self._reaches(e, eff_limit)), None)
+                if entry is not None:
+                    break
+            else:
+                return qty
+            oid = entry.order.order_id
+            if oid in level.visible:
+                take = min(qty, entry.visible_qty)
+                self._record_fill(taker, entry, eff_limit, take, hidden=False, fills=fills)
+                entry.visible_qty -= take
+                qty -= take
+                if entry.visible_qty == 0:
+                    del level.visible[oid]
+                    self._refill_or_retire(level, entry)
+            else:
+                take = min(qty, entry.hidden_qty)
+                self._record_fill(taker, entry, eff_limit, take, hidden=True, fills=fills)
+                entry.hidden_qty -= take
+                qty -= take
+                if entry.hidden_qty == 0:
+                    del level.hidden[oid]
+                    del self._index[oid]
+            self._drop_if_empty(opp, level)
         return qty
 
     def _record_fill(self, taker: Order, maker: _Resting, price: int, qty: int,
@@ -577,13 +589,11 @@ class OrderBook:
     def _rest(self, order: Order, leftover: int) -> None:
         display = min(order.display, leftover)
         entry = _Resting(order=order, visible_qty=display, hidden_qty=leftover - display,
-                         ts=self.clock, seq=self._next_seq())
+                         priority=(self.clock, self._next_seq()))
         level = self._level_for(order.side, order.limit_price)
-        if display > 0:
-            level.visible.append(entry)
-        else:
-            level.hidden.append(entry)
-        self._index[order.order_id] = ("book", order.side, order.limit_price)
+        queue = level.visible if display > 0 else level.hidden
+        queue[order.order_id] = entry
+        self._index[order.order_id] = entry
         if order.discretion_offset > 0:
             side_max = self._max_discretion[order.side]
             self._max_discretion[order.side] = max(side_max, order.discretion_offset)
@@ -601,60 +611,27 @@ class OrderBook:
     def _drop_if_empty(self, side: Side, level: _Level) -> None:
         if level.empty:
             del self._levels[side][level.price]
-            self._prices[side].remove(level.price)
-
-    def _find_resting(self, order_id: str, loc: tuple) -> _Resting:
-        _, side, price = loc
-        level = self._levels[side][price]
-        for entry in level.visible:
-            if entry.order.order_id == order_id:
-                return entry
-        for entry in level.hidden:
-            if entry.order.order_id == order_id:
-                return entry
-        raise UnknownOrderError(order_id)
-
-    def _pending_order(self, order_id: str, loc: tuple) -> Order:
-        pool = {"stop": self._stops, "aon": self._aons}.get(loc[0])
-        if pool is not None:
-            for _, order in pool:
-                if order.order_id == order_id:
-                    return order
-        else:
-            for _, _, order in self._gats:
-                if order.order_id == order_id:
-                    return order
-        raise UnknownOrderError(order_id)
+            prices = self._prices[side]
+            del prices[bisect.bisect_left(prices, level.price)]
 
     # -- cancel / expiry ----------------------------------------------------
 
     def _remove(self, order_id: str) -> tuple[Order, int]:
         """Pull an order out of the book or a pending set; returns (order, qty removed)."""
-        loc = self._index.get(order_id)
-        if loc is None:
+        held = self._index.pop(order_id, None)
+        if held is None:
             raise UnknownOrderError(order_id)
-        if loc[0] == "book":
-            entry = self._find_resting(order_id, loc)
-            removed = entry.remaining
-            _, side, price = loc
-            level = self._levels[side][price]
-            if entry in level.visible:
-                level.visible.remove(entry)
-            else:
-                level.hidden.remove(entry)
-            self._drop_if_empty(side, level)
-            order = entry.order
+        if isinstance(held, _Resting):
+            order, removed = held.order, held.remaining
+            level = self._levels[order.side][order.limit_price]
+            if level.visible.pop(order_id, None) is None:
+                del level.hidden[order_id]
+            self._drop_if_empty(order.side, level)
         else:
-            order = self._pending_order(order_id, loc)
-            removed = order.quantity
-            if loc[0] == "stop":
-                self._stops = [(s, o) for s, o in self._stops if o.order_id != order_id]
-            elif loc[0] == "aon":
-                self._aons = [(s, o) for s, o in self._aons if o.order_id != order_id]
-            else:
-                self._gats = [(t, s, o) for t, s, o in self._gats if o.order_id != order_id]
-                heapq.heapify(self._gats)
-        del self._index[order_id]
+            order, removed = held, held.quantity
+            # A GAT order is in neither dict: expire skips its heap entry.
+            if self._stops.pop(order_id, None) is None:
+                self._aons.pop(order_id, None)
         self._ledger[order_id].cancelled += removed
         return order, removed
 
@@ -670,13 +647,10 @@ class OrderBook:
         expired: list[str] = []
         while self._expiries and self._expiries[0][0] <= self.clock:
             _, order_id = heapq.heappop(self._expiries)
-            loc = self._index.get(order_id)
-            if loc is None:
+            held = self._index.get(order_id)
+            if held is None:
                 continue
-            if loc[0] == "book":
-                order = self._find_resting(order_id, loc).order
-            else:
-                order = self._pending_order(order_id, loc)
+            order = held.order if isinstance(held, _Resting) else held
             if not self._is_expired(order):
                 continue
             _, removed = self._remove(order_id)
@@ -686,8 +660,8 @@ class OrderBook:
         activated = False
         while self._gats and self._gats[0][0] <= self.clock:
             _, _, order = heapq.heappop(self._gats)
-            if self._index.get(order.order_id) != ("gat",):
-                continue
+            if self._index.get(order.order_id) is not order:
+                continue   # cancelled before its start
             del self._index[order.order_id]
             self._log("trigger", order.order_id, order.side.value, order.limit_price,
                       order.quantity, {"kind": "gat"})
@@ -728,50 +702,47 @@ class OrderBook:
         return activated
 
     def _fire_one_stop(self, price: int) -> Optional[Order]:
-        for seq, order in self._stops:
-            hit = (price >= order.stop_price if order.side is Side.BUY
-                   else price <= order.stop_price)
-            if not hit:
-                continue
-            self._stops = [(s, o) for s, o in self._stops if o.order_id != order.order_id]
-            self._index.pop(order.order_id, None)
-            converted = Order(
-                order_id=order.order_id, side=order.side, kind=order.stop_kind,
-                quantity=order.quantity, limit_price=order.limit_price,
-                display_quantity=order.display_quantity,
-                discretion_offset=order.discretion_offset, tif=order.tif,
-                tif_time=order.tif_time, timestamp=order.timestamp,
-                venue_id=order.venue_id)
-            self._log("trigger", order.order_id, order.side.value, order.stop_price,
-                      order.quantity, {"kind": "stop", "as": converted.kind.value})
-            if converted.kind is OrderKind.MARKET and not self._prices[converted.side.opposite]:
-                # nothing to hit: the stop dies rather than resting as a market order
-                self._ledger[order.order_id].cancelled += order.quantity
-                self._log("cancel", order.order_id, order.side.value, None,
-                          order.quantity, {"why": "stop-into-empty-book"})
-            else:
-                self._enter(converted)
-            return order
-        return None
+        for order in self._stops.values():
+            if price >= order.stop_price if order.side is Side.BUY else price <= order.stop_price:
+                break
+        else:
+            return None
+        del self._stops[order.order_id]
+        del self._index[order.order_id]
+        converted = Order(
+            order_id=order.order_id, side=order.side, kind=order.stop_kind,
+            quantity=order.quantity, limit_price=order.limit_price,
+            display_quantity=order.display_quantity,
+            discretion_offset=order.discretion_offset, tif=order.tif,
+            tif_time=order.tif_time, timestamp=order.timestamp,
+            venue_id=order.venue_id)
+        self._log("trigger", order.order_id, order.side.value, order.stop_price,
+                  order.quantity, {"kind": "stop", "as": converted.kind.value})
+        if converted.kind is OrderKind.MARKET and not self._prices[converted.side.opposite]:
+            # nothing to hit: the stop dies rather than resting as a market order
+            self._ledger[order.order_id].cancelled += order.quantity
+            self._log("cancel", order.order_id, order.side.value, None,
+                      order.quantity, {"why": "stop-into-empty-book"})
+        else:
+            self._enter(converted)
+        return order
 
     def _try_fire_aons(self) -> list[Order]:
+        """Fire feasible AON orders, rescanning from the oldest after each one."""
         fired: list[Order] = []
-        progress = True
-        while progress:
-            progress = False
-            for seq, order in list(self._aons):
+        while True:
+            for order in self._aons.values():
                 eff_limit = self._effective_limit(order)
                 if order.kind is OrderKind.MARKET and not self._prices[order.side.opposite]:
                     continue
-                if self._crossable(order.side, order.quantity, eff_limit) < order.quantity:
-                    continue
-                self._aons = [(s, o) for s, o in self._aons if o.order_id != order.order_id]
-                self._index.pop(order.order_id, None)
-                self._execute(order, order.quantity, eff_limit)
-                fired.append(order)
-                progress = True
-                break
-        return fired
+                if self._crossable(order.side, order.quantity, eff_limit) >= order.quantity:
+                    break
+            else:
+                return fired
+            del self._aons[order.order_id]
+            del self._index[order.order_id]
+            self._execute(order, order.quantity, eff_limit)
+            fired.append(order)
 
     def _settle(self) -> None:
         while True:
@@ -787,28 +758,28 @@ class OrderBook:
         omniscient = visibility == "omniscient"
         bids = self._side_view(Side.BUY, depth, omniscient)
         asks = self._side_view(Side.SELL, depth, omniscient)
-        stops = tuple(o.order_id for _, o in self._stops) if omniscient else ()
-        aons = tuple(o.order_id for _, o in self._aons) if omniscient else ()
+        stops = tuple(self._stops) if omniscient else ()
+        aons = tuple(self._aons) if omniscient else ()
         return BookSnapshot(bids=bids, asks=asks, last_trade_price=self.last_trade_price,
                             clock=self.clock, pending_stops=stops, pending_aons=aons)
 
     def _side_view(self, side: Side, depth: Optional[int], omniscient: bool):
-        prices = self._prices[side]
-        ordered = list(reversed(prices)) if side is Side.BUY else list(prices)
+        new = tuple.__new__   # what SnapshotEntry._make calls, minus the Python-level frame
+        levels = self._levels[side]
         out = []
-        for price in ordered:
-            level = self._levels[side][price]
-            entries = [SnapshotEntry(e.order.order_id, e.visible_qty, False, (e.ts, e.seq))
-                       for e in level.visible]
+        for price in self._best_first(side):
+            level = levels[price]
+            entries = [new(SnapshotEntry, (oid, e.visible_qty, False, e.priority))
+                       for oid, e in level.visible.items()]
             if omniscient:
-                entries += [SnapshotEntry(e.order.order_id, e.hidden_qty, True, (e.ts, e.seq))
-                            for e in level.visible if e.hidden_qty > 0]
-                entries += [SnapshotEntry(e.order.order_id, e.hidden_qty, True, (e.ts, e.seq))
-                            for e in level.hidden]
-            total = sum(e.quantity for e in entries)
+                entries += [new(SnapshotEntry, (oid, e.hidden_qty, True, e.priority))
+                            for oid, e in level.visible.items() if e.hidden_qty > 0]
+                entries += [new(SnapshotEntry, (oid, e.hidden_qty, True, e.priority))
+                            for oid, e in level.hidden.items()]
             if not entries:
                 continue
-            out.append(SnapshotLevel(price=price, total=total, entries=tuple(entries)))
+            out.append(SnapshotLevel(price=price, total=sum(e.quantity for e in entries),
+                                     entries=tuple(entries)))
             if depth is not None and len(out) >= depth:
                 break
         return tuple(out)
@@ -823,12 +794,13 @@ class OrderBook:
             for price in prices:
                 level = self._levels[side][price]
                 assert not level.empty, f"empty level retained at {price}"
-                keys = [(e.ts, e.seq) for e in level.visible]
+                keys = [e.priority for e in level.visible.values()]
                 assert keys == sorted(keys), "visible queue violates time priority"
-                hkeys = [(e.ts, e.seq) for e in level.hidden]
+                hkeys = [e.priority for e in level.hidden.values()]
                 assert hkeys == sorted(hkeys), "hidden queue violates time priority"
-                for e in list(level.visible) + list(level.hidden):
+                for oid, e in chain(level.visible.items(), level.hidden.items()):
                     assert e.remaining > 0, "resting order with zero remaining"
+                    assert self._index.get(oid) is e, f"index does not point at {oid}"
         bid, ask = self.best_bid(), self.best_ask()
         if bid is not None and ask is not None:
             visible_bid = self._best_visible(Side.BUY)
@@ -837,12 +809,8 @@ class OrderBook:
                 assert visible_bid < visible_ask, "crossed visible book at rest"
 
     def _best_visible(self, side: Side) -> Optional[int]:
-        prices = self._prices[side]
-        ordered = reversed(prices) if side is Side.BUY else iter(prices)
-        for price in ordered:
-            if self._levels[side][price].visible:
-                return price
-        return None
+        levels = self._levels[side]
+        return next((p for p in self._best_first(side) if levels[p].visible), None)
 
     # -- plumbing -------------------------------------------------------------
 

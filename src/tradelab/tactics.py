@@ -203,10 +203,19 @@ class HiddenLiquidityEstimate:
 
 
 class HiddenLiquidityTracker:
-    """Evidence counters per (venue, price), fed by ping outcomes."""
+    """Evidence counters per (venue, price), fed by ping outcomes.
+
+    The tracker also numbers the pings sent on its behalf, so two trackers
+    fed identical ping sequences produce identical order ids.
+    """
 
     def __init__(self):
         self._estimates: dict[tuple[str, int], HiddenLiquidityEstimate] = {}
+        self._pings = 0
+
+    def next_ping_id(self) -> str:
+        self._pings += 1
+        return f"ping-{self._pings}"
 
     def estimate(self, venue_id: str, price: int) -> HiddenLiquidityEstimate:
         return self._estimates.setdefault((venue_id, price), HiddenLiquidityEstimate())
@@ -231,9 +240,6 @@ class PingResult:
     estimate: HiddenLiquidityEstimate
 
 
-_PING_COUNTER = [0]
-
-
 def ping(book: OrderBook, side: Side, price: int, qty: int, instruction: Tif,
          tracker: HiddenLiquidityTracker) -> PingResult:
     """Probe one price with an IOC or FOK limit order.
@@ -244,8 +250,7 @@ def ping(book: OrderBook, side: Side, price: int, qty: int, instruction: Tif,
     if instruction not in (Tif.IOC, Tif.FOK):
         raise ValueError("pings must be IOC or FOK; anything else leaves residue")
     visible_before = _visible_depth(book, side, price)
-    _PING_COUNTER[0] += 1
-    order = Order(f"ping-{_PING_COUNTER[0]}", side, OrderKind.LIMIT, qty,
+    order = Order(tracker.next_ping_id(), side, OrderKind.LIMIT, qty,
                   limit_price=price, tif=instruction)
     result = book.submit(order)
     filled = sum(f.quantity for f in result.fills)

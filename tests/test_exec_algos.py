@@ -11,6 +11,8 @@ from tradelab.exec_algos import (
     ParentOrder,
     Schedule,
     TiltPolicy,
+    _cancel_resting,
+    _ChildTracker,
     apportion,
     pov_adaptive_rate,
     pov_child_size,
@@ -18,7 +20,7 @@ from tradelab.exec_algos import (
     twap_schedule,
     vwap_schedule,
 )
-from tradelab.orderbook import Side
+from tradelab.orderbook import Order, OrderKind, Side
 from tradelab.venue_sim import MarketParams, MarketSim, VolumeProfile
 
 
@@ -265,3 +267,18 @@ class TestRunAlgorithm:
         trace = run_algorithm(AlgoSpec(type="pov", pr=0.3), p, sim)
         assert trace.filled <= 4_000
         assert sum(c.quantity for c in trace.children) <= 4_000 + 0  # guard incl. in-flight
+
+
+def test_resting_children_are_cancelled_in_submission_order():
+    sim = quarter_day_sim()
+    book = sim.book()
+    tracker = _ChildTracker(sim, "V1")
+    submitted = [f"child-{n}" for n in (7, 2, 9, 4, 1, 8, 3)]
+    for oid in submitted:
+        order = Order(oid, Side.BUY, OrderKind.LIMIT, 10, limit_price=1)
+        book.submit(order)
+        tracker.register(order)
+    _cancel_resting(tracker, sim)
+    cancels = [line.split("|")[2] for line in book.log.lines
+               if line.startswith("cancel|") and "why=user" in line]
+    assert cancels == submitted

@@ -443,3 +443,111 @@ class TestEventLog:
         book.submit(limit("D", Side.BUY, 49, 10, tif=Tif.DAY), clock=1)
         book.expire(100)
         assert any(line.startswith("expire|100|D|") for line in log.lines)
+
+
+class TestIndexedLayout:
+    """Order-id lookup, dict-backed FIFO queues and lazily dropped GAT entries."""
+
+    def test_mid_queue_cancels_keep_fifo_for_the_rest(self):
+        book = OrderBook()
+        ids = [f"S{k}" for k in range(1_000)]
+        for k, oid in enumerate(ids):
+            book.submit(limit(oid, Side.SELL, 51, 10), clock=k)
+        gone = {"S1", "S500", "S501", "S998"}
+        for oid in sorted(gone):
+            assert book.cancel(oid) == 10
+        book.check_invariants()
+        rest = [oid for oid in ids if oid not in gone]
+        assert [e.order_id for e in book.snapshot().asks[0].entries] == rest
+        result = book.submit(market("MO", Side.BUY, 10 * 600), clock=2_000)
+        assert [f.maker_order_id for f in result.fills] == rest[:600]
+        book.check_invariants()
+
+    def test_remaining_and_cancel_for_every_holding(self):
+        book = OrderBook()
+        book.submit(limit("S1", Side.SELL, 60, 100), clock=1)
+        book.submit(limit("B1", Side.BUY, 60, 40), clock=2)      # last trade at 60
+        orders = [
+            limit("REST", Side.BUY, 50, 300, display=100),
+            Order("STOP", Side.BUY, OrderKind.STOP, 200, stop_price=70),
+            limit("AON", Side.BUY, 55, 500, tif=Tif.AON),
+            limit("GAT", Side.BUY, 50, 400, tif=Tif.GAT, tif_time=100),
+        ]
+        for order in orders:
+            assert book.submit(order, clock=3).disposition is Disposition.RESTING
+        omni = book.snapshot(visibility="omniscient")
+        assert (omni.pending_stops, omni.pending_aons) == (("STOP",), ("AON",))
+        for order in orders:
+            assert book.remaining(order.order_id) == order.quantity
+            assert book.cancel(order.order_id) == order.quantity
+            assert book.remaining(order.order_id) == 0
+            assert book.ledger(order.order_id) == (order.quantity, 0, order.quantity)
+            with pytest.raises(UnknownOrderError):
+                book.cancel(order.order_id)
+        omni = book.snapshot(visibility="omniscient")
+        assert (omni.pending_stops, omni.pending_aons) == ((), ())
+        assert book.order_ids() == {"S1"}
+        book.check_invariants()
+
+    def test_gat_cancelled_before_start_is_skipped_by_expire(self):
+        log = EventLog()
+        book = OrderBook(log=log)
+        book.submit(limit("S1", Side.SELL, 51, 1_000), clock=1)
+        book.submit(limit("GAT", Side.BUY, 51, 400, tif=Tif.GAT, tif_time=100), clock=2)
+        book.cancel("GAT")
+        # the same id again, starting later: only this order may fire
+        book.submit(limit("GAT", Side.BUY, 51, 300, tif=Tif.GAT, tif_time=200), clock=3)
+        book.expire(100)
+        assert book.remaining("S1") == 1_000
+        assert not any(line.startswith("trigger|") for line in log.lines)
+        book.expire(200)
+        assert book.remaining("S1") == 700
+        assert sum(line.startswith("trigger|200|GAT|") for line in log.lines) == 1
+        assert book.ledger("GAT") == (700, 300, 400)
+
+    def test_iceberg_refill_after_mid_queue_cancel_goes_to_the_back(self):
+        book = OrderBook()
+        book.submit(limit("ICE", Side.SELL, 51, 1_000, display=100), clock=1)
+        for k, oid in enumerate(("A", "B", "C")):
+            book.submit(limit(oid, Side.SELL, 51, 50), clock=2 + k)
+        book.cancel("B")
+        result = book.submit(market("MO", Side.BUY, 100), clock=10)
+        assert [(f.maker_order_id, f.quantity) for f in result.fills] == [("ICE", 100)]
+        assert [(oid, qty, hidden) for _, oid, qty, hidden in visible_sells(book)] == [
+            ("A", 50, False), ("C", 50, False), ("ICE", 100, False), ("ICE", 800, True)]
+        book.check_invariants()
+
+    def test_discretionary_fill_removes_a_mid_queue_entry(self):
+        book = OrderBook()
+        book.submit(limit("S4", Side.SELL, 52, 100), clock=1)
+        book.submit(limit("S3", Side.SELL, 52, 100, disc=1), clock=2)
+        book.submit(limit("S5", Side.SELL, 52, 100), clock=3)
+        result = book.submit(limit("B", Side.BUY, 51, 100), clock=4)
+        assert [(f.maker_order_id, f.price, f.quantity) for f in result.fills] == [
+            ("S3", 51, 100)]
+        assert result.disposition is Disposition.FILLED
+        assert "S3" not in book.order_ids()
+        assert [e.order_id for e in book.snapshot().asks[0].entries] == ["S4", "S5"]
+        book.check_invariants()
+
+    def test_snapshot_entries_are_immutable_named_records(self):
+        book = OrderBook()
+        book.submit(limit("S1", Side.SELL, 51, 100), clock=7)
+        entry = book.snapshot().asks[0].entries[0]
+        assert type(entry)._fields == ("order_id", "quantity", "hidden", "priority")
+        assert (entry.order_id, entry.quantity, entry.hidden) == ("S1", 100, False)
+        assert entry.priority[0] == 7
+        with pytest.raises(AttributeError):
+            entry.quantity = 5
+        assert entry == book.snapshot().asks[0].entries[0]
+
+    def test_duplicate_live_order_id_is_rejected(self):
+        book = OrderBook()
+        book.submit(limit("X", Side.SELL, 51, 100), clock=1)
+        result = book.submit(limit("X", Side.SELL, 52, 50), clock=2)
+        assert result.disposition is Disposition.REJECTED
+        assert book.remaining("X") == 100
+        assert book.ledger("X") == (150, 0, 50)
+        book.cancel("X")
+        assert book.submit(limit("X", Side.SELL, 52, 50), clock=3).disposition \
+            is Disposition.RESTING

@@ -188,6 +188,20 @@ class TestPing:
         with pytest.raises(ValueError):
             ping(OrderBook(), Side.SELL, 51, 100, Tif.GTC, HiddenLiquidityTracker())
 
+    def test_identical_sequences_give_identical_ids_and_fills(self):
+        def run():
+            book = self.latent_book()
+            tracker = HiddenLiquidityTracker()
+            ping(book, Side.SELL, 51, 400, Tif.IOC, tracker)
+            ping(book, Side.SELL, 51, 5_000, Tif.FOK, tracker)
+            ping(book, Side.SELL, 51, 400, Tif.IOC, tracker)
+            return book.all_fills()
+
+        first, second = run(), run()
+        assert first == second
+        assert [f.taker_order_id for f in first if f.taker_order_id.startswith("ping-")] \
+            == ["ping-1", "ping-3"]
+
     def test_fill_frequency_tracks_hidden_presence(self):
         tracker = HiddenLiquidityTracker()
         for i in range(50):
