@@ -24,8 +24,9 @@ pending order; each price level keeps its visible and hidden queues as
 insertion-ordered dicts keyed by order id; each side keeps its prices in one
 ascending list that matching reads in place. So ``cancel``, ``remaining`` and
 the best bid/ask are O(1) whatever the queue length; a market order or a
-passive limit costs the same at any book depth, plus the levels it empties
-or creates; ``snapshot`` is O(entries returned).
+passive limit costs the same at any book depth, plus one sorted-list insert
+or delete per price level it creates or empties; ``snapshot`` is
+O(entries returned).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 
 class Side(str, Enum):
@@ -238,7 +239,7 @@ class OrderBook:
         self._levels: dict[Side, dict[int, _Level]] = {Side.BUY: {}, Side.SELL: {}}
         self._prices: dict[Side, list[int]] = {Side.BUY: [], Side.SELL: []}  # ascending
         # order_id -> resting entry, or the pending stop/AON/GAT order itself
-        self._index: dict[str, Union[_Resting, Order]] = {}
+        self._index: dict[str, _Resting | Order] = {}
         self._stops: dict[str, Order] = {}   # in entry order
         self._aons: dict[str, Order] = {}
         # heap (start, seq, order); a cancelled GAT's entry stays until its start
@@ -330,9 +331,10 @@ class OrderBook:
             self._aons[order.order_id] = order
             self._index[order.order_id] = order
             self._push_expiry(order)
+            mark = len(self._fills)
             fired = self._try_fire_aons()
             if any(o.order_id == order.order_id for o in fired):
-                return SubmitResult(tuple(f for f in self._fills
+                return SubmitResult(tuple(f for f in self._fills[mark:]
                                           if f.taker_order_id == order.order_id),
                                     Disposition.FILLED)
             return SubmitResult((), Disposition.RESTING)
@@ -494,35 +496,38 @@ class OrderBook:
                        trade_price: int, fills: list[Fill]) -> int:
         while qty > 0 and level.visible:
             entry = next(iter(level.visible.values()))
-            take = min(qty, entry.visible_qty)
-            self._record_fill(taker, entry, trade_price, take, hidden=False, fills=fills)
-            entry.visible_qty -= take
-            qty -= take
-            if entry.visible_qty == 0:
-                del level.visible[entry.order.order_id]
-                self._refill_or_retire(level, entry)
+            qty = self._take(level, entry, False, taker, qty, trade_price, fills)
         while qty > 0 and level.hidden:
             entry = next(iter(level.hidden.values()))
-            take = min(qty, entry.hidden_qty)
-            self._record_fill(taker, entry, trade_price, take, hidden=True, fills=fills)
-            entry.hidden_qty -= take
-            qty -= take
-            if entry.hidden_qty == 0:
-                del level.hidden[entry.order.order_id]
-                del self._index[entry.order.order_id]
+            qty = self._take(level, entry, True, taker, qty, trade_price, fills)
         return qty
 
-    def _refill_or_retire(self, level: _Level, entry: _Resting) -> None:
-        """Follow-up to taking an entry's display slice out of ``level.visible``."""
-        if entry.hidden_qty > 0:
-            # Iceberg refresh: new display slice, fresh priority (time priority lost).
-            refill = min(entry.order.display, entry.hidden_qty)
-            entry.visible_qty = refill
-            entry.hidden_qty -= refill
-            entry.priority = (self.clock, self._next_seq())
-            level.visible[entry.order.order_id] = entry
+    def _take(self, level: _Level, entry: _Resting, hidden: bool, taker: Order,
+              qty: int, price: int, fills: list[Fill]) -> int:
+        """Fill up to ``qty`` from the entry's display slice, or from its hidden
+        remainder when ``hidden``; returns the quantity still wanted."""
+        oid = entry.order.order_id
+        if hidden:
+            take = min(qty, entry.hidden_qty)
+            entry.hidden_qty -= take
+            if entry.hidden_qty == 0:
+                del level.hidden[oid]
+                del self._index[oid]
         else:
-            del self._index[entry.order.order_id]
+            take = min(qty, entry.visible_qty)
+            entry.visible_qty -= take
+            if entry.visible_qty == 0:
+                del level.visible[oid]
+                if entry.hidden_qty > 0:
+                    # Iceberg refresh: new display slice at the back, fresh priority.
+                    entry.visible_qty = min(entry.order.display, entry.hidden_qty)
+                    entry.hidden_qty -= entry.visible_qty
+                    entry.priority = (self.clock, self._next_seq())
+                    level.visible[oid] = entry
+                else:
+                    del self._index[oid]
+        self._record_fill(taker, entry, price, take, hidden=hidden, fills=fills)
+        return qty - take
 
     def _consume_discretionary(self, taker: Order, qty: int, eff_limit: int,
                                fills: list[Fill]) -> int:
@@ -542,33 +547,14 @@ class OrderBook:
                 if abs(price - eff_limit) > max_disc:
                     return qty
                 level = levels[price]
-                entry = next((e for e in level.visible.values()
-                              if self._reaches(e, eff_limit)), None)
-                if entry is not None:
-                    break
-                entry = next((e for e in level.hidden.values()
+                entry = next((e for e in chain(level.visible.values(), level.hidden.values())
                               if self._reaches(e, eff_limit)), None)
                 if entry is not None:
                     break
             else:
                 return qty
-            oid = entry.order.order_id
-            if oid in level.visible:
-                take = min(qty, entry.visible_qty)
-                self._record_fill(taker, entry, eff_limit, take, hidden=False, fills=fills)
-                entry.visible_qty -= take
-                qty -= take
-                if entry.visible_qty == 0:
-                    del level.visible[oid]
-                    self._refill_or_retire(level, entry)
-            else:
-                take = min(qty, entry.hidden_qty)
-                self._record_fill(taker, entry, eff_limit, take, hidden=True, fills=fills)
-                entry.hidden_qty -= take
-                qty -= take
-                if entry.hidden_qty == 0:
-                    del level.hidden[oid]
-                    del self._index[oid]
+            hidden = entry.order.order_id not in level.visible
+            qty = self._take(level, entry, hidden, taker, qty, eff_limit, fills)
             self._drop_if_empty(opp, level)
         return qty
 
