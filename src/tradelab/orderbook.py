@@ -689,7 +689,9 @@ class OrderBook:
 
     def _fire_one_stop(self, price: int) -> Optional[Order]:
         for order in self._stops.values():
-            if price >= order.stop_price if order.side is Side.BUY else price <= order.stop_price:
+            hit = (price >= order.stop_price if order.side is Side.BUY
+                   else price <= order.stop_price)
+            if hit:
                 break
         else:
             return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -325,7 +325,7 @@ class MarketSim:
 
     # -- measurement ------------------------------------------------------------
 
-    def traded_volume(self, own_ids: Optional[set] = None,
+    def traded_volume(self, own_ids: Optional[Collection[str]] = None,
                       since: int = 0) -> tuple[int, int]:
         """(total, own) fill volume over self.fills[since:]."""
         own_ids = own_ids or set()
