@@ -444,6 +444,66 @@ class TestEventLog:
         book.expire(100)
         assert any(line.startswith("expire|100|D|") for line in log.lines)
 
+    def test_golden_lines_for_every_event_and_flag(self):
+        """Byte-exact lines for each event kind, flag and cancel reason.
+
+        The packaged scenarios emit only plain submits, fills and expiries,
+        so their artifact pins do not cover these lines.
+        """
+        log = EventLog()
+        book = OrderBook(log=log)
+        book.submit(limit("S1", Side.SELL, 51, 100), clock=1)
+        book.submit(limit("S2", Side.SELL, 51, 100, display=0), clock=2)
+        book.submit(limit("S3", Side.SELL, 53, 50, disc=1), clock=3)
+        book.submit(limit("BAD1", Side.BUY, 50, 10, display=20), clock=4)
+        book.submit(limit("BAD2", Side.BUY, 50, 10, disc=-1), clock=4)
+        book.submit(market("M1", Side.BUY, 150), clock=5)
+        book.submit(limit("F1", Side.BUY, 51, 500, tif=Tif.FOK), clock=6)
+        book.submit(limit("I1", Side.BUY, 51, 80, tif=Tif.IOC), clock=7)
+        book.submit(market("M2", Side.BUY, 80), clock=8)
+        book.submit(limit("G1", Side.BUY, 40, 10, tif=Tif.GTD, tif_time=20), clock=9)
+        book.expire(20)
+        book.submit(limit("GAT1", Side.BUY, 45, 10, tif=Tif.GAT, tif_time=30), clock=21)
+        book.expire(30)
+        book.cancel("GAT1")
+        book.submit(Order("ST1", Side.SELL, OrderKind.STOP, 10, stop_price=50), clock=31)
+        book.submit(Order("ST2", Side.SELL, OrderKind.STOP, 5, stop_price=52,
+                          stop_kind=OrderKind.LIMIT, limit_price=52), clock=31)
+        book.submit(limit("B5", Side.BUY, 50, 10), clock=32)
+        book.submit(limit("S5", Side.SELL, 50, 10), clock=33)   # empties the bid side
+        assert log.to_text() == (
+            "submit|1|S1|sell|51|100|kind=limit,tif=gtc,disp=100\n"
+            "submit|2|S2|sell|51|100|kind=limit,tif=gtc,disp=0\n"
+            "submit|3|S3|sell|53|50|kind=limit,tif=gtc,disp=50,disc=1\n"
+            "submit|4|BAD1|buy|50|10|kind=limit,tif=gtc,disp=20,"
+            "rejected=display_quantity outside [0; quantity]\n"
+            "submit|4|BAD2|buy|50|10|kind=limit,tif=gtc,disp=10,disc=-1,"
+            "rejected=discretion_offset must be >: 0\n"
+            "submit|5|M1|buy|-|150|kind=market,tif=gtc,disp=150\n"
+            "fill|5|M1|buy|51|100|maker=S1,maker_hidden=0\n"
+            "fill|5|M1|buy|51|50|maker=S2,maker_hidden=1\n"
+            "submit|6|F1|buy|51|500|kind=limit,tif=fok,disp=500\n"
+            "cancel|6|F1|buy|51|500|why=fok-unfillable\n"
+            "submit|7|I1|buy|51|80|kind=limit,tif=ioc,disp=80\n"
+            "fill|7|I1|buy|51|50|maker=S2,maker_hidden=1\n"
+            "cancel|7|I1|buy|51|30|why=ioc\n"
+            "submit|8|M2|buy|-|80|kind=market,tif=gtc,disp=80\n"
+            "fill|8|M2|buy|53|50|maker=S3,maker_hidden=0\n"
+            "cancel|8|M2|buy|-|30|why=market-exhausted\n"
+            "submit|9|G1|buy|40|10|kind=limit,tif=gtd,disp=10\n"
+            "expire|20|G1|buy|40|10|tif=gtd\n"
+            "submit|21|GAT1|buy|45|10|kind=limit,tif=gat,disp=10\n"
+            "trigger|30|GAT1|buy|45|10|kind=gat\n"
+            "cancel|30|GAT1|buy|45|10|why=user\n"
+            "submit|31|ST1|sell|-|10|kind=stop,tif=gtc,disp=10,stop=50,as=market\n"
+            "submit|31|ST2|sell|52|5|kind=stop,tif=gtc,disp=5,stop=52,as=limit\n"
+            "submit|32|B5|buy|50|10|kind=limit,tif=gtc,disp=10\n"
+            "submit|33|S5|sell|50|10|kind=limit,tif=gtc,disp=10\n"
+            "fill|33|S5|sell|50|10|maker=B5,maker_hidden=0\n"
+            "trigger|33|ST1|sell|50|10|kind=stop,as=market\n"
+            "cancel|33|ST1|sell|-|10|why=stop-into-empty-book\n"
+            "trigger|33|ST2|sell|52|5|kind=stop,as=limit\n")
+
 
 class TestIndexedLayout:
     """Order-id lookup, dict-backed FIFO queues and lazily dropped GAT entries."""
