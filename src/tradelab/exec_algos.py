@@ -484,8 +484,8 @@ def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
                 pr = pov_adaptive_rate(spec.pr, mid, benchmark_price,
                                        spec.sensitivity, parent.side, spec.pr_max)
         target_own = pov_child_size(tracker.other_volume, pr)
-        want = target_own - trace.filled - tracker.outstanding(trace)
-        want = min(want, parent.quantity - trace.filled - tracker.outstanding(trace))
+        committed = trace.filled + tracker.outstanding(trace)
+        want = min(target_own - committed, parent.quantity - committed)
         if spec.max_child is not None:
             want = min(want, spec.max_child)
         if want > 0 and sim.clock < parent.end:

@@ -153,8 +153,8 @@ class EventLog:
     """Order-event recorder: one delimited line per event.
 
     Columns, in fixed order: event, clock, order-id, side, price-ticks, qty,
-    flags. ``flags`` is a comma-joined ``key=value`` list; price is ``-`` for
-    unpriced events (pure market orders).
+    flags. ``flags`` is a comma-joined ``key=value`` list, passed in already
+    formatted; price is ``-`` for unpriced events (pure market orders).
     """
 
     COLUMNS = ("event", "clock", "order_id", "side", "price_ticks", "qty", "flags")
@@ -164,11 +164,9 @@ class EventLog:
         self.lines: list[str] = []
 
     def record(self, event: str, clock: int, order_id: str, side: str,
-               price: Optional[int], qty: int, flags: Optional[dict] = None) -> None:
-        flag_text = ",".join(f"{k}={v}" for k, v in (flags or {}).items())
-        price_text = "-" if price is None else str(price)
-        self.lines.append(self.DELIMITER.join(
-            (event, str(clock), order_id, side, price_text, str(qty), flag_text)))
+               price: Optional[int], qty: int, flags: str = "") -> None:
+        price_text = "-" if price is None else price
+        self.lines.append(f"{event}|{clock}|{order_id}|{side}|{price_text}|{qty}|{flags}")
 
     def to_text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -299,8 +297,9 @@ class OrderBook:
         reason = self._validate(order)
         led = self._ledger.setdefault(order.order_id, _Ledger())
         led.submitted += order.quantity
-        self._log("submit", order.order_id, order.side.value, order.limit_price,
-                  order.quantity, self._submit_flags(order, rejected=reason))
+        if self.log is not None:
+            self._log("submit", order.order_id, order.side.value, order.limit_price,
+                      order.quantity, self._submit_flags(order, rejected=reason))
         if reason is not None:
             led.cancelled += order.quantity
             return SubmitResult((), Disposition.REJECTED, reason)
@@ -346,7 +345,7 @@ class OrderBook:
             led = self._ledger[order.order_id]
             led.cancelled += qty
             self._log("cancel", order.order_id, order.side.value, order.limit_price,
-                      qty, {"why": "fok-unfillable"})
+                      qty, "why=fok-unfillable")
             return SubmitResult((), Disposition.CANCELLED)
 
         fills, leftover = self._execute(order, qty, eff_limit)
@@ -355,9 +354,10 @@ class OrderBook:
             if order.kind is OrderKind.MARKET or order.tif in (Tif.IOC, Tif.FOK):
                 led = self._ledger[order.order_id]
                 led.cancelled += leftover
-                why = "market-exhausted" if order.kind is OrderKind.MARKET else order.tif.value
-                self._log("cancel", order.order_id, order.side.value, order.limit_price,
-                          leftover, {"why": why})
+                if self.log is not None:
+                    why = "market-exhausted" if order.kind is OrderKind.MARKET else order.tif.value
+                    self._log("cancel", order.order_id, order.side.value, order.limit_price,
+                              leftover, f"why={why}")
                 disp = Disposition.CANCELLED
             else:
                 self._rest(order, leftover)
@@ -567,8 +567,9 @@ class OrderBook:
         self._ledger[taker.order_id].filled += qty
         self._ledger.setdefault(maker.order.order_id, _Ledger()).filled += qty
         self.last_trade_price = price
-        self._log("fill", taker.order_id, taker.side.value, price, qty,
-                  {"maker": maker.order.order_id, "maker_hidden": int(hidden)})
+        if self.log is not None:
+            self._log("fill", taker.order_id, taker.side.value, price, qty,
+                      f"maker={maker.order.order_id},maker_hidden={int(hidden)}")
 
     # -- resting ------------------------------------------------------------
 
@@ -624,7 +625,7 @@ class OrderBook:
     def cancel(self, order_id: str) -> int:
         order, removed = self._remove(order_id)
         self._log("cancel", order_id, order.side.value, order.limit_price,
-                  removed, {"why": "user"})
+                  removed, "why=user")
         return removed
 
     def expire(self, clock: int) -> list[str]:
@@ -640,8 +641,9 @@ class OrderBook:
             if not self._is_expired(order):
                 continue
             _, removed = self._remove(order_id)
-            self._log("expire", order_id, order.side.value, order.limit_price,
-                      removed, {"tif": order.tif.value})
+            if self.log is not None:
+                self._log("expire", order_id, order.side.value, order.limit_price,
+                          removed, f"tif={order.tif.value}")
             expired.append(order_id)
         activated = False
         while self._gats and self._gats[0][0] <= self.clock:
@@ -650,7 +652,7 @@ class OrderBook:
                 continue   # cancelled before its start
             del self._index[order.order_id]
             self._log("trigger", order.order_id, order.side.value, order.limit_price,
-                      order.quantity, {"kind": "gat"})
+                      order.quantity, "kind=gat")
             self._enter(order)
             activated = True
         if activated or expired:
@@ -704,13 +706,14 @@ class OrderBook:
             discretion_offset=order.discretion_offset, tif=order.tif,
             tif_time=order.tif_time, timestamp=order.timestamp,
             venue_id=order.venue_id)
-        self._log("trigger", order.order_id, order.side.value, order.stop_price,
-                  order.quantity, {"kind": "stop", "as": converted.kind.value})
+        if self.log is not None:
+            self._log("trigger", order.order_id, order.side.value, order.stop_price,
+                      order.quantity, f"kind=stop,as={converted.kind.value}")
         if converted.kind is OrderKind.MARKET and not self._prices[converted.side.opposite]:
             # nothing to hit: the stop dies rather than resting as a market order
             self._ledger[order.order_id].cancelled += order.quantity
             self._log("cancel", order.order_id, order.side.value, None,
-                      order.quantity, {"why": "stop-into-empty-book"})
+                      order.quantity, "why=stop-into-empty-book")
         else:
             self._enter(converted)
         return order
@@ -733,6 +736,8 @@ class OrderBook:
             fired.append(order)
 
     def _settle(self) -> None:
+        if not self._stops and not self._aons:
+            return
         while True:
             fired_stop = (self._fire_one_stop(self.last_trade_price)
                           if self.last_trade_price is not None else None)
@@ -806,18 +811,17 @@ class OrderBook:
         self._seq += 1
         return self._seq
 
-    def _submit_flags(self, order: Order, rejected: Optional[str]) -> dict:
-        flags = {"kind": order.kind.value, "tif": order.tif.value, "disp": order.display}
+    def _submit_flags(self, order: Order, rejected: Optional[str]) -> str:
+        flags = f"kind={order.kind.value},tif={order.tif.value},disp={order.display}"
         if order.kind is OrderKind.STOP:
-            flags["stop"] = order.stop_price
-            flags["as"] = order.stop_kind.value
+            flags += f",stop={order.stop_price},as={order.stop_kind.value}"
         if order.discretion_offset:
-            flags["disc"] = order.discretion_offset
+            flags += f",disc={order.discretion_offset}"
         if rejected:
-            flags["rejected"] = rejected.replace(",", ";").replace("=", ":")
+            flags += ",rejected=" + rejected.replace(",", ";").replace("=", ":")
         return flags
 
     def _log(self, event: str, order_id: str, side: str, price: Optional[int],
-             qty: int, flags: Optional[dict] = None) -> None:
+             qty: int, flags: str) -> None:
         if self.log is not None:
             self.log.record(event, self.clock, order_id, side, price, qty, flags)

@@ -50,6 +50,14 @@ class TestVolumeProfile:
         assert p.bucket_of(399, 400) == 3
         assert p.boundaries(400) == [(0, 100), (100, 200), (200, 300), (300, 400)]
 
+    @pytest.mark.parametrize("session_ticks", [1_000, 4_000, 5_850])
+    def test_every_tick_lies_in_its_bucket(self, session_ticks):
+        p = VolumeProfile.uniform(13)
+        bounds = p.boundaries(session_ticks)
+        for tick in range(session_ticks):
+            start, end = bounds[p.bucket_of(tick, session_ticks)]
+            assert start <= tick < end, tick
+
 
 class TestFees:
     FILL = Fill("t", "m", price=50, quantity=100, time=1)
@@ -115,8 +123,12 @@ class TestDispatch:
 class TestAdvance:
     def test_zero_intensity_no_background_events(self):
         sim = MarketSim(params(intensity=0.0))
-        events = sim.advance(200)
-        assert events == []
+        seeded = list(sim.book().log.lines)
+        sim.advance(200)
+        assert sim.fills == []
+        assert sim.book().log.lines == seeded
+        assert len(seeded) == 2 * sim.params.max_quote_offset
+        assert all(line.startswith("submit|0|bg-") for line in seeded)
 
     def test_driftless_degenerate_mid_stays_put(self):
         sim = MarketSim(params(seed=3, volatility=0.0))
