@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from tradelab import harness
@@ -45,21 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("scenario", type=Path)
     p_frontier.add_argument("--seed", type=int, default=None)
     p_frontier.add_argument("--out", type=Path, default=None)
-    p_frontier.add_argument("--format", choices=("csv", "json"), default=None)
 
     p_figures = sub.add_parser("figures", help="emit plot data from a run directory")
     p_figures.add_argument("run_dir", type=Path)
     p_figures.add_argument("--out", type=Path, default=None)
     return parser
-
-
-def _load(path: Path, seed_override):
-    scenario = load_scenario(path)
-    if seed_override is not None:
-        scenario = replace(scenario, seed=seed_override)
-        if scenario.market is not None:
-            scenario.market = replace(scenario.market, seed=seed_override)
-    return scenario
 
 
 def _default_out(scenario, path: Path) -> Path:
@@ -70,7 +59,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            scenario = _load(args.scenario, args.seed)
+            scenario = load_scenario(args.scenario, seed=args.seed)
             out = args.out or _default_out(scenario, args.scenario)
             report = harness.run(scenario, out, report_format=args.format)
             print(f"run complete: {report.filled} filled, "
@@ -88,7 +77,7 @@ def main(argv=None) -> int:
             print(f"{len(results) - failed}/{len(results)} fixtures passed")
             return EXIT_OK if failed == 0 else EXIT_FIXTURE_MISMATCH
         if args.command == "frontier":
-            scenario = _load(args.scenario, args.seed)
+            scenario = load_scenario(args.scenario, seed=args.seed)
             out = args.out or _default_out(scenario, args.scenario)
             written = harness.run_frontier(scenario, out)
             print(f"frontier files: {', '.join(written)} -> {out}")

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from tradelab import tactics
 from tradelab.orderbook import Order, OrderKind, Side, Tif
 from tradelab.venue_sim import MarketSim, VolumeProfile, settle_fees
 
@@ -26,13 +27,12 @@ class ParentOrder:
     start: int
     end: int
     price_limit: Optional[int] = None      # ticks
-    benchmark: str = "arrival"             # close | open | arrival | decision
 
     def __post_init__(self):
         if self.quantity <= 0:
-            raise ValueError("parent quantity must be positive")
+            raise ValueError("quantity must be positive")
         if self.end <= self.start:
-            raise ValueError("parent horizon is empty")
+            raise ValueError("end must lie after start (the parent horizon is empty)")
 
     @property
     def horizon(self) -> int:
@@ -209,8 +209,8 @@ class ExecutionWiring:
     more than one venue.
     """
 
-    slice_policy: Optional[object] = None    # tactics.SlicePolicy
-    route_weights: Optional[object] = None   # tactics.RouteWeights
+    slice_policy: Optional[tactics.SlicePolicy] = None
+    route_weights: Optional[tactics.RouteWeights] = None
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,6 @@ class AlgoSpec:
     window_ticks: Optional[int] = None  # POV observation window (default bucket/10)
     sensitivity: float = 0.0            # pov-adaptive only
     pr_max: float = 0.95
-    venue_id: Optional[str] = None
     both_sides_volume: bool = True      # POV measures both-sides traded volume
 
     def __post_init__(self):
@@ -336,7 +335,7 @@ def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     residual (it feeds the opportunity-cost leg of the shortfall report).
     ``wiring`` plugs placement tactics into child handling.
     """
-    venue_id = spec.venue_id or next(iter(sim.venues))
+    venue_id = next(iter(sim.venues))
     trace = ExecutionTrace(parent=parent)
     tracker = _ChildTracker(sim, venue_id)
     tracker.wiring = wiring or ExecutionWiring()
@@ -375,7 +374,6 @@ def _choose_venue(parent: ParentOrder, sim: MarketSim, tracker: _ChildTracker,
     weights = tracker.wiring.route_weights
     if weights is None or len(sim.venues) < 2:
         return default
-    from tradelab import tactics
     vbook = tactics.aggregate([(cfg, sim.books[vid])
                                for vid, cfg in sim.venues.items()])
     cands = tactics.candidates_from_virtual(vbook, parent.side)
@@ -410,11 +408,10 @@ def _submit_sliced(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     within a tick or two), so the footprint is the randomized display size,
     not the bucket target.
     """
-    from tradelab.tactics import draw_slice_size
     policy = tracker.wiring.slice_policy
     step = max(1, spec.bucket_ticks // 10)
     while want > 0 and sim.clock < bucket_end:
-        size = min(draw_slice_size(policy, tracker.slice_rng), want)
+        size = min(tactics.draw_slice_size(policy, tracker.slice_rng), want)
         _submit_child(spec, parent, sim, trace, tracker, venue_id, size)
         advance_by = min(step, bucket_end - sim.clock)
         if advance_by > 0:

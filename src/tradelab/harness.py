@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from tradelab.cost_model import mi_rate, risk_rate, sample_cost_surface
-from tradelab.exec_algos import ExecutionTrace, ExecutionWiring, run_algorithm
+from tradelab.exec_algos import ExecutionTrace, run_algorithm
 from tradelab.optimizer import frontier, frontier_to_delimited
 from tradelab.orderbook import (
     EventLog,
@@ -36,7 +36,7 @@ from tradelab.orderbook import (
 )
 from tradelab.scenario import Scenario, ScenarioError, load_scenario
 from tradelab.tca import ISReport, TCAInputs, expanded_tc, report_text
-from tradelab.tactics import SlicePolicy, parse_tactics_config, slice_next
+from tradelab.tactics import SlicePolicy, slice_next
 from tradelab.venue_sim import MarketSim
 
 
@@ -283,14 +283,6 @@ def _write(path: Path, header: str, body: str) -> None:
     path.write_text(header + body)
 
 
-def _wiring_from_tactics(scenario: Scenario) -> ExecutionWiring:
-    """Build the runner's tactic hooks from a scenario's [tactics] section."""
-    parsed = parse_tactics_config(scenario.tactics, scenario.parent.side,
-                                  scenario.parent.quantity)
-    return ExecutionWiring(slice_policy=parsed.slice_policy,
-                           route_weights=parsed.route_weights)
-
-
 def run(scenario: Scenario, out_dir: Path,
         report_format: Optional[str] = None) -> RunReport:
     """Execute a scenario and emit its artifact files into ``out_dir``."""
@@ -309,7 +301,7 @@ def run(scenario: Scenario, out_dir: Path,
         sim = MarketSim(scenario.market, venues=scenario.venues,
                         profile=scenario.profile)
         trace = run_algorithm(scenario.algo, scenario.parent, sim,
-                              wiring=_wiring_from_tactics(scenario))
+                              wiring=scenario.wiring)
         _emit_trace_files(scenario, sim, trace, out, header, report, fmt)
 
     if scenario.optimizer is not None:

@@ -488,7 +488,7 @@ class OrderBook:
             level = levels[price]
             qty = self._consume_level(level, taker, qty, price, fills)
             self._drop_if_empty(opp, level)
-        if qty > 0 and eff_limit is not None:
+        if qty > 0 and eff_limit is not None and self._max_discretion[opp]:
             qty = self._consume_discretionary(taker, qty, eff_limit, fills)
         return fills, qty
 

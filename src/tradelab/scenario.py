@@ -4,9 +4,15 @@ The file format is INI (configparser): sections ``[scenario]``, ``[market]``,
 one ``[venue:<id>]`` per venue, ``[parent]``, ``[algo]``, ``[tactics]``,
 ``[cost_model]``, ``[optimizer]`` and ``[tca]``. Only ``[scenario]`` with a
 ``seed`` is mandatory; a file with just cost/optimizer sections describes a
-frontier-only scenario (no simulation). ``load_scenario`` materializes every
-default explicitly, so the echo-back is a complete, reproducible description
-whose hash identifies the run.
+frontier-only scenario (no simulation).
+
+Each section has one field table in ``SECTIONS``: key, converter and default,
+in echo order. ``load_scenario`` reads every section through its table,
+makes every default explicit and rejects any key or section the tables do
+not hold; ``Scenario.echo`` writes the same tables back, so the echo is a
+complete, reproducible description whose hash identifies the run. The one
+input-only spelling is ``[optimizer] lambda_min/lambda_max/lambda_points``,
+which the loader turns into the ``lambda_grid`` it echoes.
 
 Prices in the file are in currency; they convert to integer ticks through
 ``market.tick_size`` wherever they meet the book.
@@ -16,13 +22,13 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from tradelab.cost_model import ImpactParams, RateCoefficients, RiskParams
-from tradelab.exec_algos import AlgoSpec, ParentOrder, TiltPolicy
+from tradelab.exec_algos import AlgoSpec, ExecutionWiring, ParentOrder, TiltPolicy
 from tradelab.orderbook import Side
+from tradelab.tactics import RouteWeights, SlicePolicy
 from tradelab.venue_sim import MarketParams, VenueConfig, VolumeProfile, u_shape_profile
 
 ARTIFACT_VERSION = "1"
@@ -47,123 +53,32 @@ class OptimizerConfig:
     drift: float = 0.0
 
 
-@dataclass
-class Scenario:
-    seed: int
-    name: str = "scenario"
-    report_format: str = "csv"
-    market: Optional[MarketParams] = None
-    profile: Optional[VolumeProfile] = None
-    profile_spec: str = "u13"
-    venues: list = field(default_factory=list)
-    parent: Optional[ParentOrder] = None
-    algo: Optional[AlgoSpec] = None
-    tactics: dict = field(default_factory=dict)
-    cost: Optional[ImpactParams] = None
-    risk: Optional[RiskParams] = None
-    optimizer: Optional[OptimizerConfig] = None
-    tca: TCAConfig = field(default_factory=TCAConfig)
+# ---------------------------------------------------------------------------
+# field tables
+# ---------------------------------------------------------------------------
 
-    @property
-    def tick_size(self) -> float:
-        return self.market.tick_size if self.market is not None else 1.0
-
-    def coefficients(self) -> RateCoefficients:
-        if self.cost is None:
-            raise ScenarioError("scenario has no [cost_model] section")
-        return RateCoefficients.from_params(self.cost)
-
-    def echo(self) -> str:
-        """Fully materialized config text: every default made explicit."""
-        out = configparser.ConfigParser()
-        out["scenario"] = {"seed": str(self.seed), "name": self.name,
-                           "format": self.report_format}
-        if self.market is not None:
-            m = self.market
-            out["market"] = {
-                "initial_price": repr(m.initial_price), "tick_size": repr(m.tick_size),
-                "volatility": repr(m.volatility), "adv": repr(m.adv),
-                "session_ticks": str(m.session_ticks), "intensity": repr(m.intensity),
-                "profile": self.profile_spec,
-                "market_order_fraction": repr(m.market_order_fraction),
-                "maker_size_mult": repr(m.maker_size_mult),
-                "limit_ttl": str(m.limit_ttl),
-                "max_quote_offset": str(m.max_quote_offset),
-                "cancel_prob": repr(m.cancel_prob),
-            }
-        for v in self.venues:
-            out[f"venue:{v.venue_id}"] = {
-                "maker_fee": repr(v.maker_fee), "taker_fee": repr(v.taker_fee),
-                "latency": str(v.latency),
-                "supports_hidden": str(v.supports_hidden).lower(),
-                "supports_iceberg": str(v.supports_iceberg).lower(),
-            }
-        if self.parent is not None:
-            p = self.parent
-            section = {"side": p.side.value, "quantity": str(p.quantity),
-                       "start": str(p.start), "end": str(p.end),
-                       "benchmark": p.benchmark}
-            if p.price_limit is not None:
-                section["price_limit_ticks"] = str(p.price_limit)
-            out["parent"] = section
-        if self.algo is not None:
-            a = self.algo
-            tilt = a.tilt or TiltPolicy()
-            section = {"type": a.type, "bucket_ticks": str(a.bucket_ticks),
-                       "pr": repr(a.pr), "tilt_threshold": repr(tilt.threshold),
-                       "tilt_factor": repr(tilt.factor), "tilt_jitter": repr(tilt.jitter),
-                       "tilt_seed": str(tilt.seed), "sensitivity": repr(a.sensitivity),
-                       "pr_max": repr(a.pr_max)}
-            if a.max_child is not None:
-                section["max_child"] = str(a.max_child)
-            if a.price_limit is not None:
-                section["price_limit_ticks"] = str(a.price_limit)
-            if a.window_ticks is not None:
-                section["window_ticks"] = str(a.window_ticks)
-            out["algo"] = section
-        if self.tactics:
-            out["tactics"] = {k: str(v) for k, v in sorted(self.tactics.items())}
-        if self.cost is not None:
-            c = self.cost
-            out["cost_model"] = {
-                "a1": repr(c.scale), "a2": repr(c.size_exponent),
-                "a3": repr(c.vol_exponent), "b1": repr(c.temp_fraction),
-                "adv": repr(c.adv), "sigma": repr(c.sigma), "price": repr(c.price),
-                "order_size": repr(c.order_size),
-                "horizon_fraction": repr(self.risk.horizon_fraction),
-            }
-        if self.optimizer is not None:
-            o = self.optimizer
-            out["optimizer"] = {
-                "lambda_grid": ",".join(repr(x) for x in o.lambda_grid),
-                "alpha_min": repr(o.alpha_min), "alpha_max": repr(o.alpha_max),
-                "benchmark": o.benchmark, "drift": repr(o.drift),
-            }
-        tca_section = {"fixed": repr(self.tca.fixed)}
-        if self.tca.decision_price is not None:
-            tca_section["decision_price"] = repr(self.tca.decision_price)
-        out["tca"] = tca_section
-        buf = io.StringIO()
-        out.write(buf)
-        return buf.getvalue()
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.echo().encode()).hexdigest()[:12]
-
-    def header(self) -> str:
-        return f"# tradelab-artifact v{ARTIFACT_VERSION} scenario={self.digest()}\n"
+REQUIRED = object()   # default of a field the file must give
 
 
-def _get(parser, section, key, conv, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ScenarioError(f"missing required field [{section}].{key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid value for [{section}].{key}: {raw!r} ({exc})")
+class Kind(NamedTuple):
+    """How a value reads from its file text and writes back to it."""
+
+    parse: Callable[[str], Any]
+    show: Callable[[Any], str]
+
+
+class Field(NamedTuple):
+    """One row of a section table.
+
+    ``default`` is ``REQUIRED``, a value, ``None`` (optional: left out of the
+    echo while unset) or a function of the scenario read so far. ``attr`` is
+    the keyword of the object the field builds, when it is not ``key``.
+    """
+
+    key: str
+    kind: Kind
+    default: Any = REQUIRED
+    attr: Optional[str] = None
 
 
 def _bool(raw: str) -> bool:
@@ -185,171 +100,327 @@ def _parse_profile(spec: str) -> VolumeProfile:
     return VolumeProfile(fractions)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file; all defaults come back explicit."""
+def _profile_spec(raw: str) -> str:
+    _parse_profile(raw)   # validate; the echo keeps the spec as written
+    return raw
+
+
+def _grid(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split(",")) if raw.strip() else ()
+
+
+def _one_of(*options: str) -> Kind:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected {' | '.join(options)}")
+        return raw
+    return Kind(parse, str)
+
+
+FLOAT = Kind(float, repr)
+INT = Kind(int, str)
+TEXT = Kind(str, str)
+BOOL = Kind(_bool, lambda b: str(b).lower())
+SIDE = Kind(Side, lambda side: side.value)
+PROFILE = Kind(_profile_spec, str)
+GRID = Kind(_grid, lambda grid: ",".join(repr(x) for x in grid))
+
+_TILT = (
+    Field("tilt_threshold", FLOAT, 1.0, "threshold"),
+    Field("tilt_factor", FLOAT, 1.0, "factor"),
+    Field("tilt_jitter", FLOAT, 0.0, "jitter"),
+    Field("tilt_seed", INT, lambda s: s.seed, "seed"),
+)
+_SLICE = (
+    Field("slice_display", INT, None, "display"),
+    Field("slice_jitter", FLOAT, 0.0, "jitter"),
+    Field("slice_seed", INT, 0, "seed"),
+)
+_ROUTE = (
+    Field("route_w_price", FLOAT, 1.0, "price"),
+    Field("route_w_prob", FLOAT, 1.0, "exec_probability"),
+    Field("route_w_latency", FLOAT, 1.0, "latency"),
+    Field("route_w_fee", FLOAT, 1.0, "fee"),
+)
+_IMPACT = (
+    Field("a1", FLOAT, 0.5, "scale"),
+    Field("a2", FLOAT, 0.5, "size_exponent"),
+    Field("a3", FLOAT, 0.75, "vol_exponent"),
+    Field("b1", FLOAT, 0.8, "temp_fraction"),
+    Field("adv", FLOAT, lambda s: s.market.adv if s.market else 1e6),
+    Field("sigma", FLOAT, lambda s: s.market.volatility if s.market else 0.25),
+    Field("price", FLOAT, lambda s: s.market.initial_price if s.market else 50.0),
+    Field("order_size", FLOAT),
+)
+_HORIZON = Field("horizon_fraction", FLOAT, 0.1)
+_LAMBDA_RANGE = (   # input-only: becomes lambda_grid when that is not given
+    Field("lambda_min", FLOAT, 1e-8),
+    Field("lambda_max", FLOAT, 1e-2),
+    Field("lambda_points", INT, 50),
+)
+
+SECTIONS: dict[str, tuple[Field, ...]] = {
+    "scenario": (
+        Field("seed", INT),
+        Field("name", TEXT, "scenario"),
+        Field("format", _one_of("csv", "json"), "csv"),
+    ),
+    "market": (
+        Field("initial_price", FLOAT),
+        Field("tick_size", FLOAT, 1.0),
+        Field("volatility", FLOAT, 0.25),
+        Field("adv", FLOAT),
+        Field("session_ticks", INT, 23_400),
+        Field("intensity", FLOAT, 1.0),
+        Field("profile", PROFILE, "u13"),
+        Field("market_order_fraction", FLOAT, 0.25),
+        Field("maker_size_mult", FLOAT, 2.0),
+        Field("limit_ttl", INT, 600),
+        Field("max_quote_offset", INT, 5),
+        Field("cancel_prob", FLOAT, 0.01),
+    ),
+    "venue": (
+        Field("maker_fee", FLOAT, 0.0),
+        Field("taker_fee", FLOAT, 0.0),
+        Field("latency", INT, 0),
+        Field("supports_hidden", BOOL, True),
+        Field("supports_iceberg", BOOL, True),
+    ),
+    "parent": (
+        Field("side", SIDE),
+        Field("quantity", INT),
+        Field("start", INT, 0),
+        Field("end", INT),
+        Field("price_limit_ticks", INT, None, "price_limit"),
+    ),
+    "algo": (
+        Field("type", _one_of("twap", "vwap", "pov", "pov-adaptive")),
+        Field("bucket_ticks", INT, 450),
+        Field("pr", FLOAT, 0.1),
+        *_TILT,
+        Field("sensitivity", FLOAT, 0.0),
+        Field("pr_max", FLOAT, 0.95),
+        Field("both_sides_volume", BOOL, True),
+        Field("max_child", INT, None),
+        Field("price_limit_ticks", INT, None, "price_limit"),
+        Field("window_ticks", INT, None),
+    ),
+    "tactics": _SLICE + _ROUTE,
+    "cost_model": _IMPACT + (_HORIZON,),
+    "optimizer": (
+        Field("lambda_grid", GRID, None),
+        Field("alpha_min", FLOAT, 1e-4),
+        Field("alpha_max", FLOAT, 1.0),
+        Field("benchmark", _one_of("arrival", "previous_close", "both"), "both"),
+        Field("drift", FLOAT, 0.0),
+    ),
+    "tca": (
+        Field("fixed", FLOAT, 0.0),
+        Field("decision_price", FLOAT, None),
+    ),
+}
+
+
+def _table(section: str) -> Optional[tuple[Field, ...]]:
+    return SECTIONS.get("venue" if section.startswith("venue:") else section)
+
+
+# ---------------------------------------------------------------------------
+# the scenario
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Scenario:
+    seed: int
+    name: str = "scenario"
+    report_format: str = "csv"
+    market: Optional[MarketParams] = None
+    profile: Optional[VolumeProfile] = None
+    venues: list = field(default_factory=list)
+    parent: Optional[ParentOrder] = None
+    algo: Optional[AlgoSpec] = None
+    wiring: ExecutionWiring = field(default_factory=ExecutionWiring)
+    cost: Optional[ImpactParams] = None
+    risk: Optional[RiskParams] = None
+    optimizer: Optional[OptimizerConfig] = None
+    tca: TCAConfig = field(default_factory=TCAConfig)
+    config: dict = field(default_factory=dict)   # section -> {key: value}, echo order
+
+    @property
+    def tick_size(self) -> float:
+        return self.market.tick_size if self.market is not None else 1.0
+
+    def coefficients(self) -> RateCoefficients:
+        if self.cost is None:
+            raise ScenarioError("scenario has no [cost_model] section")
+        return RateCoefficients.from_params(self.cost)
+
+    def echo(self) -> str:
+        """Fully materialized config text: every default made explicit."""
+        out = []
+        for section, values in self.config.items():
+            lines = "".join(f"{f.key} = {f.kind.show(values[f.key])}\n"
+                            for f in _table(section) if values[f.key] is not None)
+            if lines:
+                out.append(f"[{section}]\n{lines}\n")
+        return "".join(out)
+
+    def digest(self) -> str:
+        return hashlib.sha256(self.echo().encode()).hexdigest()[:12]
+
+    def header(self) -> str:
+        return f"# tradelab-artifact v{ARTIFACT_VERSION} scenario={self.digest()}\n"
+
+
+# ---------------------------------------------------------------------------
+# loading
+# ---------------------------------------------------------------------------
+
+def _read(parser, section: str, fields, scenario: Optional[Scenario]) -> dict:
+    """The section's values by key, every default made explicit."""
+    given = parser.options(section) if parser.has_section(section) else []
+    known = {f.key for f in fields}
+    for key in given:
+        if key not in known:
+            raise ScenarioError(f"unknown field [{section}].{key}")
+    values = {}
+    for f in fields:
+        if f.key not in given:
+            if f.default is REQUIRED:
+                raise ScenarioError(f"missing required field [{section}].{f.key}")
+            values[f.key] = f.default(scenario) if callable(f.default) else f.default
+            continue
+        raw = parser.get(section, f.key)
+        try:
+            values[f.key] = f.kind.parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(
+                f"invalid value for [{section}].{f.key}: {raw!r} ({exc})") from None
+    return values
+
+
+def _make(section: str, fields, factory, values: dict, **extra):
+    """``factory`` called with the fields' values under their attribute names.
+
+    An object with a ``validate`` method is validated at once. A ValueError
+    is reported against the field whose attribute its message starts with
+    (the validation messages name their attribute first), else against the
+    section.
+    """
+    kwargs = {f.attr or f.key: values[f.key] for f in fields}
+    try:
+        made = factory(**kwargs, **extra)
+        if hasattr(made, "validate"):
+            made.validate()
+        return made
+    except ValueError as exc:
+        subject = str(exc).split(" ", 1)[0]
+        where = next((f"[{section}].{f.key}" for f in fields
+                      if (f.attr or f.key) == subject), f"[{section}]")
+        raise ScenarioError(f"invalid value for {where}: {exc}") from None
+
+
+def _reject(section: str, keys, parser, why: str) -> None:
+    for key in keys:
+        if parser.has_option(section, key):
+            raise ScenarioError(f"inert field [{section}].{key}: {why}")
+
+
+def _lambda_grid(parser, values: dict) -> tuple:
+    lo, hi, n = (values.pop(f.key) for f in _LAMBDA_RANGE)
+    if values["lambda_grid"] is not None:
+        _reject("optimizer", (f.key for f in _LAMBDA_RANGE), parser,
+                "lambda_grid is given")
+        return values["lambda_grid"]
+    if lo <= 0 or hi <= lo or n < 1:
+        raise ScenarioError("invalid [optimizer] lambda range: need "
+                            "0 < lambda_min < lambda_max and lambda_points >= 1")
+    ratio = (hi / lo) ** (1.0 / max(n - 1, 1))
+    return tuple(lo * ratio ** i for i in range(n))
+
+
+def load_scenario(path, seed: Optional[int] = None) -> Scenario:
+    """Parse and validate a scenario file; all defaults come back explicit.
+
+    ``seed`` replaces the file's ``[scenario].seed`` before any default is
+    derived from it.
+    """
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        found = parser.read(path)
     except configparser.Error as exc:
         raise ScenarioError(f"parse error in {path}: {exc}")
-    if not read:
+    if not found:
         raise ScenarioError(f"scenario file not found: {path}")
     if not parser.has_section("scenario"):
         raise ScenarioError("missing required section [scenario]")
-    seed = _get(parser, "scenario", "seed", int, required=True)
-    scenario = Scenario(
-        seed=seed,
-        name=_get(parser, "scenario", "name", str, default="scenario"),
-        report_format=_get(parser, "scenario", "format", str, default="csv"),
-    )
-    if scenario.report_format not in ("csv", "json"):
-        raise ScenarioError(
-            f"invalid value for [scenario].format: {scenario.report_format!r}")
+    for section in parser.sections():
+        if _table(section) is None:
+            raise ScenarioError(f"unknown section [{section}]")
+
+    v = _read(parser, "scenario", SECTIONS["scenario"], None)
+    if seed is not None:
+        v["seed"] = seed
+    scenario = Scenario(seed=v["seed"], name=v["name"], report_format=v["format"],
+                        config={"scenario": v})
+
+    def read(section, fields=None):
+        values = _read(parser, section, fields or _table(section), scenario)
+        scenario.config[section] = values
+        return values
 
     if parser.has_section("market"):
-        profile_spec = _get(parser, "market", "profile", str, default="u13")
-        try:
-            scenario.profile = _parse_profile(profile_spec)
-        except ValueError as exc:
-            raise ScenarioError(f"invalid value for [market].profile: {exc}")
-        scenario.profile_spec = profile_spec
-        scenario.market = MarketParams(
-            initial_price=_get(parser, "market", "initial_price", float, required=True),
-            volatility=_get(parser, "market", "volatility", float, default=0.25),
-            adv=_get(parser, "market", "adv", float, required=True),
-            seed=seed,
-            session_ticks=_get(parser, "market", "session_ticks", int, default=23_400),
-            intensity=_get(parser, "market", "intensity", float, default=1.0),
-            tick_size=_get(parser, "market", "tick_size", float, default=1.0),
-            market_order_fraction=_get(parser, "market", "market_order_fraction",
-                                       float, default=0.25),
-            maker_size_mult=_get(parser, "market", "maker_size_mult", float, default=2.0),
-            limit_ttl=_get(parser, "market", "limit_ttl", int, default=600),
-            max_quote_offset=_get(parser, "market", "max_quote_offset", int, default=5),
-            cancel_prob=_get(parser, "market", "cancel_prob", float, default=0.01),
-        )
+        v = read("market")
+        scenario.profile = _parse_profile(v["profile"])
+        params = [f for f in SECTIONS["market"] if f.key != "profile"]
+        scenario.market = _make("market", params, MarketParams, v, seed=scenario.seed)
 
     for section in parser.sections():
-        if not section.startswith("venue:"):
-            continue
-        vid = section.split(":", 1)[1]
-        if not vid:
-            raise ScenarioError(f"venue section with empty id: [{section}]")
-        scenario.venues.append(VenueConfig(
-            venue_id=vid,
-            maker_fee=_get(parser, section, "maker_fee", float, default=0.0),
-            taker_fee=_get(parser, section, "taker_fee", float, default=0.0),
-            latency=_get(parser, section, "latency", int, default=0),
-            supports_hidden=_get(parser, section, "supports_hidden", _bool, default=True),
-            supports_iceberg=_get(parser, section, "supports_iceberg", _bool,
-                                  default=True),
-        ))
+        if section.startswith("venue:"):
+            vid = section.split(":", 1)[1]
+            if not vid:
+                raise ScenarioError(f"venue section with empty id: [{section}]")
+            scenario.venues.append(_make(section, SECTIONS["venue"], VenueConfig,
+                                         read(section), venue_id=vid))
 
     if parser.has_section("parent"):
-        side_text = _get(parser, "parent", "side", str, required=True)
-        if side_text not in ("buy", "sell"):
-            raise ScenarioError(f"invalid value for [parent].side: {side_text!r}")
-        try:
-            scenario.parent = ParentOrder(
-                side=Side(side_text),
-                quantity=_get(parser, "parent", "quantity", int, required=True),
-                start=_get(parser, "parent", "start", int, default=0),
-                end=_get(parser, "parent", "end", int, required=True),
-                price_limit=_get(parser, "parent", "price_limit_ticks", int),
-                benchmark=_get(parser, "parent", "benchmark", str, default="arrival"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"invalid [parent] section: {exc}")
+        scenario.parent = _make("parent", SECTIONS["parent"], ParentOrder, read("parent"))
 
     if parser.has_section("algo"):
-        algo_type = _get(parser, "algo", "type", str, required=True)
-        tilt = TiltPolicy(
-            threshold=_get(parser, "algo", "tilt_threshold", float, default=1.0),
-            factor=_get(parser, "algo", "tilt_factor", float, default=1.0),
-            jitter=_get(parser, "algo", "tilt_jitter", float, default=0.0),
-            seed=_get(parser, "algo", "tilt_seed", int, default=seed),
-        )
-        try:
-            scenario.algo = AlgoSpec(
-                type=algo_type,
-                bucket_ticks=_get(parser, "algo", "bucket_ticks", int, default=450),
-                pr=_get(parser, "algo", "pr", float, default=0.1),
-                tilt=tilt,
-                max_child=_get(parser, "algo", "max_child", int),
-                price_limit=_get(parser, "algo", "price_limit_ticks", int),
-                window_ticks=_get(parser, "algo", "window_ticks", int),
-                sensitivity=_get(parser, "algo", "sensitivity", float, default=0.0),
-                pr_max=_get(parser, "algo", "pr_max", float, default=0.95),
-                both_sides_volume=_get(parser, "algo", "both_sides_volume", _bool,
-                                       default=True),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"invalid value for [algo].type: {exc}")
+        v = read("algo")
+        tilt = _make("algo", _TILT, TiltPolicy, v)
+        scenario.algo = _make("algo", [f for f in SECTIONS["algo"] if f not in _TILT],
+                              AlgoSpec, v, tilt=tilt)
 
     if parser.has_section("tactics"):
-        scenario.tactics = dict(parser.items("tactics"))
+        v = read("tactics")
+        if v["slice_display"] is None:
+            _reject("tactics", ("slice_jitter", "slice_seed"), parser,
+                    "no [tactics].slice_display")
+            v.update(slice_jitter=None, slice_seed=None)
+        else:
+            scenario.wiring.slice_policy = _make("tactics", _SLICE, SlicePolicy, v,
+                                                 randomize=v["slice_jitter"] > 0)
+        if any(parser.has_option("tactics", f.key) for f in _ROUTE):
+            scenario.wiring.route_weights = _make("tactics", _ROUTE, RouteWeights, v)
+        else:
+            v.update((f.key, None) for f in _ROUTE)
 
     if parser.has_section("cost_model"):
-        horizon_fraction = _get(parser, "cost_model", "horizon_fraction", float,
-                                default=0.1)
-        scenario.cost = ImpactParams(
-            scale=_get(parser, "cost_model", "a1", float, default=0.5),
-            size_exponent=_get(parser, "cost_model", "a2", float, default=0.5),
-            vol_exponent=_get(parser, "cost_model", "a3", float, default=0.75),
-            temp_fraction=_get(parser, "cost_model", "b1", float, default=0.8),
-            adv=_get(parser, "cost_model", "adv", float,
-                     default=scenario.market.adv if scenario.market else 1e6),
-            sigma=_get(parser, "cost_model", "sigma", float,
-                       default=scenario.market.volatility if scenario.market else 0.25),
-            price=_get(parser, "cost_model", "price", float,
-                       default=(scenario.market.initial_price
-                                if scenario.market else 50.0)),
-            order_size=_get(parser, "cost_model", "order_size", float, required=True),
-        )
-        scenario.risk = RiskParams(
-            price=scenario.cost.price, order_size=scenario.cost.order_size,
-            sigma=scenario.cost.sigma, horizon_fraction=horizon_fraction)
-        try:
-            scenario.cost.validate()
-        except ValueError as exc:
-            raise ScenarioError(f"invalid [cost_model] section: {exc}")
+        v = read("cost_model")
+        scenario.cost = _make("cost_model", _IMPACT, ImpactParams, v)
+        scenario.risk = _make("cost_model", (_HORIZON,), RiskParams, v,
+                              price=scenario.cost.price, sigma=scenario.cost.sigma,
+                              order_size=scenario.cost.order_size)
 
     if parser.has_section("optimizer"):
-        if parser.has_option("optimizer", "lambda_grid"):
-            raw_grid = parser.get("optimizer", "lambda_grid").strip()
-            grid = (tuple(float(x) for x in raw_grid.split(","))
-                    if raw_grid else ())
-        else:
-            lo = _get(parser, "optimizer", "lambda_min", float, default=1e-8)
-            hi = _get(parser, "optimizer", "lambda_max", float, default=1e-2)
-            n = _get(parser, "optimizer", "lambda_points", int, default=50)
-            if lo <= 0 or hi <= lo or n < 1:
-                raise ScenarioError("invalid [optimizer] lambda range")
-            if n == 1:
-                grid = (lo,)
-            else:
-                ratio = (hi / lo) ** (1.0 / (n - 1))
-                grid = tuple(lo * ratio ** i for i in range(n))
-        benchmark = _get(parser, "optimizer", "benchmark", str, default="both")
-        if benchmark not in ("arrival", "previous_close", "both"):
-            raise ScenarioError(
-                f"invalid value for [optimizer].benchmark: {benchmark!r}")
-        scenario.optimizer = OptimizerConfig(
-            lambda_grid=grid,
-            alpha_min=_get(parser, "optimizer", "alpha_min", float, default=1e-4),
-            alpha_max=_get(parser, "optimizer", "alpha_max", float, default=1.0),
-            benchmark=benchmark,
-            drift=_get(parser, "optimizer", "drift", float, default=0.0),
-        )
         if scenario.cost is None:
             raise ScenarioError("[optimizer] requires a [cost_model] section")
+        v = read("optimizer", SECTIONS["optimizer"] + _LAMBDA_RANGE)
+        v["lambda_grid"] = _lambda_grid(parser, v)
+        scenario.optimizer = _make("optimizer", SECTIONS["optimizer"], OptimizerConfig, v)
 
-    if parser.has_section("tca"):
-        scenario.tca = TCAConfig(
-            decision_price=_get(parser, "tca", "decision_price", float),
-            fixed=_get(parser, "tca", "fixed", float, default=0.0),
-        )
-
+    scenario.tca = _make("tca", SECTIONS["tca"], TCAConfig, read("tca"))
     _validate(scenario)
     return scenario
 

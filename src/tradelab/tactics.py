@@ -375,8 +375,9 @@ class RouteWeights:
     fee: float = 1.0
 
     def __post_init__(self):
-        if min(self.price, self.exec_probability, self.latency, self.fee) < 0:
-            raise ValueError("route weights must be >= 0")
+        for name in ("price", "exec_probability", "latency", "fee"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -473,59 +474,6 @@ class CatchStop:
             return None
         return Order(f"{order_id}-x", self.side, OrderKind.LIMIT, remaining,
                      limit_price=touch, tif=Tif.IOC)
-
-
-# ---------------------------------------------------------------------------
-# scenario-config surface
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TacticsConfig:
-    """Structured view of a scenario's [tactics] section."""
-
-    slice_policy: Optional[SlicePolicy] = None
-    layers: Optional[LayerSet] = None
-    snipe: Optional[SnipeWatch] = None
-    seek_qty: Optional[int] = None
-    seek_instruction: Tif = Tif.IOC
-    route_weights: Optional[RouteWeights] = None
-
-
-def parse_tactics_config(section: dict, side: Side,
-                         parent_qty: int = 10**9) -> TacticsConfig:
-    """Build tactic objects from the flat key/value [tactics] section.
-
-    Recognized keys: slice_display, slice_jitter, slice_seed; layers_offsets,
-    layers_size; seek_ping_qty, seek_instruction; snipe_trigger, snipe_qty;
-    route_w_price, route_w_prob, route_w_latency, route_w_fee. Unknown keys
-    are ignored (the section is shared with experiment-specific knobs).
-    """
-    out = TacticsConfig()
-    if "slice_display" in section:
-        jitter = float(section.get("slice_jitter", 0.0))
-        out.slice_policy = SlicePolicy(
-            display=int(section["slice_display"]), randomize=jitter > 0,
-            jitter=jitter, seed=int(section.get("slice_seed", 0)))
-    if "layers_offsets" in section:
-        offsets = tuple(int(x) for x in str(section["layers_offsets"]).split(","))
-        out.layers = LayerSet(side=side, offsets=offsets,
-                              rung_size=int(section.get("layers_size", 100)),
-                              max_total=parent_qty)
-    if "seek_ping_qty" in section:
-        out.seek_qty = int(section["seek_ping_qty"])
-        out.seek_instruction = Tif(section.get("seek_instruction", "ioc"))
-        if out.seek_instruction not in (Tif.IOC, Tif.FOK):
-            raise ValueError("seek_instruction must be ioc or fok")
-    if "snipe_trigger" in section:
-        out.snipe = SnipeWatch(side=side, trigger=int(section["snipe_trigger"]),
-                               qty=int(section.get("snipe_qty", parent_qty)))
-    if any(key.startswith("route_w_") for key in section):
-        out.route_weights = RouteWeights(
-            price=float(section.get("route_w_price", 1.0)),
-            exec_probability=float(section.get("route_w_prob", 1.0)),
-            latency=float(section.get("route_w_latency", 1.0)),
-            fee=float(section.get("route_w_fee", 1.0)))
-    return out
 
 
 def timing_urgency(elapsed: int, horizon: int, liquidity_score: float = 1.0) -> float:

@@ -18,19 +18,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
-    "twap_quarter_day/cost_surface.txt": "c9372b5100cd693675f26ebdc25590336c60f5d83bc052b8da1c13e36bfba2b0",
-    "twap_quarter_day/events_LIT1.log": "90c9c99eb212fd3ca00481339ee6726565bbe8d308e3d2b2ba67ecf3e13c493a",
-    "twap_quarter_day/fills.log": "f3cca5ec96705902164990150c6b215a30e83d04bdebdadde8e64935bfb8a059",
-    "twap_quarter_day/frontier_arrival.txt": "5f88f45fd50d9c286ad9d7ff74e56909ecdabd130c7c7f6496cca9601b13819b",
-    "twap_quarter_day/frontier_previous_close.txt": "42e0c61d71dac18d2c10942bda1a2ee5630702690d9eb5e834b741c382c7a995",
-    "twap_quarter_day/report.json": "ef3f8a347739be292e191311097ccf3e78602553288cdd37f844951ffca36c55",
-    "twap_quarter_day/scenario_echo.ini": "3c1ed1b461f053109104df8c180765db5e0b8d68924f40b17de48d4f21770dec",
-    "twap_quarter_day/tca_report.txt": "99eb2bf6bf174905923d71566fd11aca9cace4a934831f61899eadf1864b85cb",
-    "pov_quarter_day/events_LIT1.log": "41aa7490875c5714fa10c7534f9aa57f08a988912aaf3ed4aaa679a0443ef927",
-    "pov_quarter_day/fills.log": "cbc1c2803dbfada7f152ec52e8d95ad02c628d5c96152ada0eb3189f7efc5b6f",
-    "pov_quarter_day/report.csv": "f7aa1018619cb40b25411b542e5aa6ede6aad93bc45d81ae3aa56ec78aa82865",
-    "pov_quarter_day/scenario_echo.ini": "a9dc1e6401c8bf5c42b4587e8c7fa6c21204ac0fe823860703b79ac37b83bcf2",
-    "pov_quarter_day/tca_report.txt": "80955d254d52a2e7862c4f512f109e752d98d41560856ca097a0ab35c5b1c0ab",
+    "twap_quarter_day/cost_surface.txt": "fc812da28d25afcb8ada18120cb56900fe01a0f25439887c4923a9582b9030cd",
+    "twap_quarter_day/events_LIT1.log": "893ac167a06a05a7f8479c689074700ae1bfade1b8941cfa8fecdf867943ab05",
+    "twap_quarter_day/fills.log": "a78997fb0d4218deff3f16baf49742444d8eb2739fe7df1cbb92e8496f5ed395",
+    "twap_quarter_day/frontier_arrival.txt": "e47ef13953a0acd35a5a162f84b23cd80f409574b11407b07180d01d45d1333f",
+    "twap_quarter_day/frontier_previous_close.txt": "139196de08a6cb24c410f51f6c25785281389f35b3981a5fffeeccadd45ab840",
+    "twap_quarter_day/report.json": "4072418b9b37a51a39061861fc978ff7e05242ae4ab6e2cd3e9cd514db131fcb",
+    "twap_quarter_day/scenario_echo.ini": "03d73a68b5388ca77894ec7b01c858a8671b7f53533c3c5b7c8a717b67b9361b",
+    "twap_quarter_day/tca_report.txt": "99e574823b1c9fe0814cccbf62a3881a27e2be11562d8ea6c53963f086526e34",
+    "pov_quarter_day/events_LIT1.log": "879aeede6474cd87854aa506b54e46eaa3cb8c03fe8bd7691385bfc7a117bd87",
+    "pov_quarter_day/fills.log": "c0c8fec1e5878898ea2cc14d187950278d074f7544b6469828f1d674d02904cf",
+    "pov_quarter_day/report.csv": "ea0f75161eef302fd0ba0ba406658ada9c8776848636e846240e731d8e1dc8fd",
+    "pov_quarter_day/scenario_echo.ini": "dc5b2274b69f8a30e679b173cefab4dfdcb692e710a69778de588bcf474d2388",
+    "pov_quarter_day/tca_report.txt": "f5b4581428b884afdcf6b202cc3d7aece81259a948e3be96b40b8839a237c8cc",
     "frontier_only/cost_surface.txt": "1a135cb8dad2a76bcf9fb723270b4f648dfdee831526a40a365e306f607d6a31",
     "frontier_only/frontier_arrival.txt": "f403f3020406fc5ed5e7aef0360a7ab2bd5728009c408da24ff31b8e92ec2e41",
     "frontier_only/frontier_previous_close.txt": "afdd8ffe170987153822cd1f8f81659831f147112ab3a64fcaa9e86c3049ebb3",

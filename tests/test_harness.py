@@ -240,6 +240,13 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert (tmp_path / "f" / "frontier_arrival.txt").exists()
 
+    def test_frontier_has_no_format_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frontier", str(SCENARIOS / "frontier_only.ini"),
+                      "--out", str(tmp_path / "f"), "--format", "json"])
+        assert exc.value.code == 2   # argparse usage error
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
     def test_figures_verb_requires_run_dir(self, tmp_path):
         assert cli.main(["figures", str(tmp_path)]) == cli.EXIT_VALIDATION
 

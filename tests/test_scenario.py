@@ -1,8 +1,15 @@
 """Scenario file parsing, validation messages, and echo-back fidelity."""
 
+import configparser
+from pathlib import Path
+
 import pytest
 
-from tradelab.scenario import ScenarioError, load_scenario
+from tradelab import cli, harness
+from tradelab.scenario import SECTIONS, ScenarioError, load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 MINIMAL = """\
 [scenario]
@@ -112,3 +119,230 @@ class TestLoad:
     def test_describes_nothing_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="nothing to run"):
             load_scenario(write(tmp_path, "[scenario]\nseed = 1\n"))
+
+
+class TestTactics:
+    """The [tactics] section loads straight into the runner's wiring."""
+
+    HEAD = FULL + "\n[tactics]\n"
+
+    def test_full_section_parses_into_wiring(self, tmp_path):
+        text = self.HEAD + ("slice_display = 500\nslice_jitter = 0.2\nslice_seed = 3\n"
+                            "route_w_price = 2.0\nroute_w_fee = 0.5\n")
+        s = load_scenario(write(tmp_path, text))
+        policy, weights = s.wiring.slice_policy, s.wiring.route_weights
+        assert (policy.display, policy.jitter, policy.seed) == (500, 0.2, 3)
+        assert policy.randomize
+        assert weights.price == 2.0 and weights.fee == 0.5
+        assert weights.latency == 1.0 and weights.exec_probability == 1.0   # defaulted
+        assert "route_w_latency = 1.0" in s.echo() and "slice_seed = 3" in s.echo()
+
+    def test_empty_section_wires_nothing(self, tmp_path):
+        s = load_scenario(write(tmp_path, self.HEAD))
+        assert s.wiring.slice_policy is None and s.wiring.route_weights is None
+        assert "[tactics]" not in s.echo()
+
+    def test_slice_display_alone_is_not_randomized(self, tmp_path):
+        s = load_scenario(write(tmp_path, self.HEAD + "slice_display = 500\n"))
+        assert s.wiring.slice_policy.randomize is False
+        assert s.wiring.route_weights is None
+        assert "route_w_price" not in s.echo()
+
+    @pytest.mark.parametrize("key", ["slice_jitter", "slice_seed"])
+    def test_slice_keys_need_slice_display(self, tmp_path, key):
+        with pytest.raises(ScenarioError, match=rf"inert field \[tactics\]\.{key}"):
+            load_scenario(write(tmp_path, self.HEAD + f"{key} = 0\n"))
+
+    def test_negative_route_weight_named(self, tmp_path):
+        with pytest.raises(ScenarioError, match=r"\[tactics\]\.route_w_fee"):
+            load_scenario(write(tmp_path, self.HEAD + "route_w_fee = -1\n"))
+
+
+# Every section, small enough to run in well under a second.
+EVERY = """\
+[scenario]
+seed = 3
+name = every
+
+[market]
+initial_price = 50.0
+adv = 500000
+session_ticks = 400
+
+[venue:V1]
+taker_fee = 0.002
+
+[parent]
+side = buy
+quantity = 500
+end = 400
+
+[algo]
+type = twap
+bucket_ticks = 100
+
+[tactics]
+slice_display = 50
+
+[cost_model]
+order_size = 500
+
+[optimizer]
+lambda_grid = 1e-6,1e-5
+
+[tca]
+fixed = 0.0
+"""
+
+
+def with_field(tmp_path, section, key, value, text=EVERY, name="case.ini"):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    cfg[section][key] = value
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    return path
+
+
+def cli_run(path, tmp_path, *extra):
+    return cli.main(["run", str(path), "--out", str(tmp_path / "out"), *extra])
+
+
+class TestRejectedThroughCli:
+    """Bad, unknown and inert fields exit 1 with a line naming [section].key."""
+
+    def test_base_runs(self, tmp_path):
+        assert cli_run(write(tmp_path, EVERY), tmp_path) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("section", ["scenario", "market", "venue:V1", "parent",
+                                         "algo", "tactics", "cost_model", "optimizer",
+                                         "tca"])
+    def test_unknown_field_in_every_section(self, tmp_path, capsys, section):
+        path = with_field(tmp_path, section, "horizn_fraction", "0.1")
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert f"unknown field [{section}].horizn_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("tactics", "layers_offsets", "1,2,3"),
+        ("tactics", "seek_ping_qty", "100"),
+        ("tactics", "snipe_trigger", "51"),
+        ("parent", "benchmark", "arrival"),
+        ("optimizer", "lambda_min", "1e-8"),
+        ("tactics", "slice_jitter", "1.5"),
+        ("tactics", "slice_display", "lots"),
+        ("cost_model", "horizon_fraction", "0"),
+        ("parent", "quantity", "0"),
+        ("market", "session_ticks", "0"),
+        ("algo", "tilt_factor", "0"),
+    ])
+    def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
+        path = with_field(tmp_path, section, key, value)
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert f"[{section}].{key}" in capsys.readouterr().err
+
+    def test_unknown_section(self, tmp_path, capsys):
+        path = write(tmp_path, EVERY + "\n[parnet]\nside = buy\n")
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert "unknown section [parnet]" in capsys.readouterr().err
+
+
+class TestSeedOverride:
+    def test_seed_rederives_tilt_seed(self, tmp_path):
+        assert cli_run(write(tmp_path, EVERY), tmp_path, "--seed", "99") == cli.EXIT_OK
+        echo = (tmp_path / "out" / "scenario_echo.ini").read_text()
+        assert "seed = 99\n" in echo and "tilt_seed = 99\n" in echo
+
+    def test_file_tilt_seed_kept(self, tmp_path):
+        path = with_field(tmp_path, "algo", "tilt_seed", "5")
+        assert cli_run(path, tmp_path, "--seed", "99") == cli.EXIT_OK
+        echo = (tmp_path / "out" / "scenario_echo.ini").read_text()
+        assert "tilt_seed = 5\n" in echo and "tilt_seed = 99" not in echo
+
+    def test_seed_reaches_the_market(self, tmp_path):
+        s = load_scenario(write(tmp_path, EVERY), seed=99)
+        assert s.seed == 99 and s.market.seed == 99
+
+
+class TestBothSidesVolume:
+    def test_hashed_and_round_trips(self, tmp_path):
+        packaged = load_scenario(SCENARIO_DIR / "pov_quarter_day.ini")
+        path = with_field(tmp_path, "algo", "both_sides_volume", "false",
+                          text=(SCENARIO_DIR / "pov_quarter_day.ini").read_text())
+        one_sided = load_scenario(path)
+        assert one_sided.algo.both_sides_volume is False
+        assert one_sided.digest() != packaged.digest()
+        harness.run(one_sided, tmp_path / "run")
+        reloaded = load_scenario(tmp_path / "run" / "scenario_echo.ini")
+        assert reloaded.algo.both_sides_volume is False
+        assert reloaded.digest() == one_sided.digest()
+
+
+# Two valid values per table key; a test picks the one the file does not hold.
+ALTERNATIVES = {
+    "seed": ("8", "9"), "name": ("other", "another"), "format": ("csv", "json"),
+    "initial_price": ("40.0", "41.0"), "tick_size": ("0.5", "0.25"),
+    "volatility": ("0.3", "0.35"), "adv": ("2000000.0", "3000000.0"),
+    "session_ticks": ("30000", "40000"), "intensity": ("2.0", "3.0"),
+    "profile": ("u5", "uniform4"), "market_order_fraction": ("0.3", "0.4"),
+    "maker_size_mult": ("3.0", "4.0"), "limit_ttl": ("700", "800"),
+    "max_quote_offset": ("6", "7"), "cancel_prob": ("0.02", "0.03"),
+    "maker_fee": ("0.001", "0.002"), "taker_fee": ("0.004", "0.005"),
+    "latency": ("2", "4"), "supports_hidden": ("true", "false"),
+    "supports_iceberg": ("true", "false"),
+    "side": ("buy", "sell"), "quantity": ("777", "888"), "start": ("1", "2"),
+    "end": ("100", "200"), "price_limit_ticks": ("60", "61"),
+    "type": ("twap", "vwap"), "bucket_ticks": ("300", "301"), "pr": ("0.2", "0.3"),
+    "tilt_threshold": ("0.5", "0.6"), "tilt_factor": ("1.5", "2.0"),
+    "tilt_jitter": ("0.1", "0.2"), "tilt_seed": ("3", "4"),
+    "sensitivity": ("0.5", "0.6"), "pr_max": ("0.9", "0.8"),
+    "both_sides_volume": ("true", "false"), "max_child": ("500", "600"),
+    "window_ticks": ("30", "40"),
+    "slice_display": ("700", "800"), "slice_jitter": ("0.1", "0.2"),
+    "slice_seed": ("6", "7"), "route_w_price": ("3.0", "4.0"),
+    "route_w_prob": ("3.0", "4.0"), "route_w_latency": ("3.0", "4.0"),
+    "route_w_fee": ("3.0", "4.0"),
+    "a1": ("0.6", "0.7"), "a2": ("0.6", "0.7"), "a3": ("0.6", "0.7"),
+    "b1": ("0.6", "0.7"), "sigma": ("0.3", "0.35"), "price": ("40.0", "41.0"),
+    "order_size": ("50000.0", "60000.0"), "horizon_fraction": ("0.2", "0.3"),
+    "lambda_grid": ("0.001,0.002", "0.003"), "alpha_min": ("0.001", "0.002"),
+    "alpha_max": ("0.9", "0.8"), "benchmark": ("arrival", "previous_close"),
+    "drift": ("0.01", "0.02"),
+    "fixed": ("1.0", "2.0"), "decision_price": ("49.0", "48.0"),
+}
+
+# The packaged scenarios and the benchmark inputs, read as they are.
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.ini")) + sorted(
+    (ROOT / "perfbench" / "inputs").glob("*.ini"))
+
+
+def table_of(section):
+    return SECTIONS["venue" if section.startswith("venue:") else section]
+
+
+class TestFieldTables:
+    def test_every_row_has_alternatives_and_a_file(self):
+        keys = {f.key for fields in SECTIONS.values() for f in fields}
+        assert keys <= ALTERNATIVES.keys()
+        covered = {("venue" if s.startswith("venue:") else s)
+                   for path in SCENARIO_FILES for s in load_scenario(path).config}
+        assert covered == SECTIONS.keys()
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_every_field_round_trips_and_moves_the_digest(self, tmp_path, path):
+        base = load_scenario(path)
+        echo = base.echo()
+        assert load_scenario(write(tmp_path, echo, "echo.ini")).echo() == echo
+        for section in base.config:
+            for f in table_of(section):
+                cfg = configparser.ConfigParser()
+                cfg.read_string(echo)
+                current = cfg.get(section, f.key, fallback=None)
+                value = next(a for a in ALTERNATIVES[f.key] if a != current)
+                changed = load_scenario(with_field(tmp_path, section, f.key, value,
+                                                   text=echo))
+                where = f"[{section}].{f.key} = {value}"
+                assert changed.digest() != base.digest(), where
+                again = load_scenario(write(tmp_path, changed.echo(), "again.ini"))
+                assert again.echo() == changed.echo(), where

@@ -366,38 +366,6 @@ class TestCatching:
         assert sum(f.quantity for f in result.fills) == 400
 
 
-class TestConfigSurface:
-    def test_full_section_parses(self):
-        from tradelab.tactics import parse_tactics_config
-        section = {
-            "slice_display": "500", "slice_jitter": "0.2", "slice_seed": "3",
-            "layers_offsets": "1,2,3", "layers_size": "150",
-            "seek_ping_qty": "400", "seek_instruction": "fok",
-            "snipe_trigger": "51", "snipe_qty": "900",
-            "route_w_price": "2.0", "route_w_fee": "0.5",
-        }
-        cfg = parse_tactics_config(section, Side.BUY, parent_qty=5_000)
-        assert cfg.slice_policy.display == 500 and cfg.slice_policy.randomize
-        assert cfg.layers.offsets == (1, 2, 3) and cfg.layers.rung_size == 150
-        assert cfg.layers.max_total == 5_000
-        assert cfg.seek_qty == 400 and cfg.seek_instruction is Tif.FOK
-        assert cfg.snipe.trigger == 51 and cfg.snipe.qty == 900
-        assert cfg.route_weights.price == 2.0 and cfg.route_weights.fee == 0.5
-        assert cfg.route_weights.latency == 1.0   # defaulted
-
-    def test_empty_section_is_all_none(self):
-        from tradelab.tactics import parse_tactics_config
-        cfg = parse_tactics_config({}, Side.SELL)
-        assert cfg.slice_policy is None and cfg.layers is None
-        assert cfg.snipe is None and cfg.route_weights is None
-
-    def test_seek_rejects_resting_instructions(self):
-        from tradelab.tactics import parse_tactics_config
-        with pytest.raises(ValueError):
-            parse_tactics_config({"seek_ping_qty": "100",
-                                  "seek_instruction": "gtc"}, Side.BUY)
-
-
 class TestTimingFactor:
     def test_urgency_grows_with_time_and_illiquidity(self):
         early = timing_urgency(10, 100, liquidity_score=1.0)
