@@ -231,6 +231,8 @@ class AlgoSpec:
     def __post_init__(self):
         if self.type not in ("twap", "vwap", "pov", "pov-adaptive"):
             raise ValueError(f"unknown algo type {self.type!r}")
+        if self.bucket_ticks <= 0:
+            raise ValueError("bucket_ticks must be positive")
 
 
 @dataclass

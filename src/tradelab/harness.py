@@ -3,7 +3,7 @@
 ``run`` executes a scenario end to end (simulation, algorithm, TCA,
 optimizer) and writes its artifact files: the echoed config, per-venue event
 logs, the parent fill log, the TCA report, frontier tables and the cost
-surface. Every artifact starts with a header line carrying the artifact
+surface. The event logs stream into their files while the session runs. Every artifact starts with a header line carrying the artifact
 version and the scenario hash, so fixtures invalidate when formats change.
 Runs are deterministic: the same scenario and seed produce byte-identical
 files.
@@ -16,6 +16,7 @@ first divergence per fixture.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -296,13 +297,18 @@ def run(scenario: Scenario, out_dir: Path,
     report = RunReport(scenario_name=scenario.name, scenario_hash=scenario.digest(),
                        seed=scenario.seed)
 
-    trace: Optional[ExecutionTrace] = None
     if scenario.algo is not None:
-        sim = MarketSim(scenario.market, venues=scenario.venues,
-                        profile=scenario.profile)
-        trace = run_algorithm(scenario.algo, scenario.parent, sim,
-                              wiring=scenario.wiring)
-        _emit_trace_files(scenario, sim, trace, out, header, report, fmt)
+        with ExitStack() as files:
+            logs = {}
+            for venue in scenario.venues:
+                fh = files.enter_context(open(out / f"events_{venue.venue_id}.log", "w"))
+                fh.write(header)
+                logs[venue.venue_id] = EventLog(fh)
+            sim = MarketSim(scenario.market, venues=scenario.venues,
+                            profile=scenario.profile, logs=logs)
+            trace = run_algorithm(scenario.algo, scenario.parent, sim,
+                                  wiring=scenario.wiring)
+        _emit_trace_files(scenario, trace, out, header, report)
 
     if scenario.optimizer is not None:
         report.frontier_files = run_frontier(scenario, out)
@@ -312,11 +318,9 @@ def run(scenario: Scenario, out_dir: Path,
     return report
 
 
-def _emit_trace_files(scenario: Scenario, sim: MarketSim, trace: ExecutionTrace,
-                      out: Path, header: str, report: RunReport, fmt: str) -> None:
+def _emit_trace_files(scenario: Scenario, trace: ExecutionTrace,
+                      out: Path, header: str, report: RunReport) -> None:
     tick = scenario.tick_size
-    for vid, book in sim.books.items():
-        _write(out / f"events_{vid}.log", header, book.log.to_text())
     fill_lines = [f"{f.tick}|{f.price}|{f.quantity}" for f in trace.fills]
     _write(out / "fills.log", header, "\n".join(fill_lines) + ("\n" if fill_lines else ""))
 

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import io
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, TextIO
 
 
 class Side(str, Enum):
@@ -108,7 +109,7 @@ class Order:
         return self.quantity if self.display_quantity is None else self.display_quantity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fill:
     taker_order_id: str
     maker_order_id: str
@@ -150,30 +151,38 @@ class BookSnapshot:
 
 
 class EventLog:
-    """Order-event recorder: one delimited line per event.
+    """Order-event recorder: one delimited line per event, written to a text stream.
 
     Columns, in fixed order: event, clock, order-id, side, price-ticks, qty,
     flags. ``flags`` is a comma-joined ``key=value`` list, passed in already
     formatted; price is ``-`` for unpriced events (pure market orders).
+
+    ``record`` writes each finished line, newline included, to ``stream``. By
+    default that is an in-memory ``io.StringIO``, which ``lines`` and
+    ``to_text`` read back. A scenario run passes each venue's open
+    ``events_<venue>.log`` instead, so its lines stream to disk as they happen
+    and the session holds none of them.
     """
 
     COLUMNS = ("event", "clock", "order_id", "side", "price_ticks", "qty", "flags")
     DELIMITER = "|"
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
+        self.stream = io.StringIO() if stream is None else stream
+        self._write = self.stream.write
 
     def record(self, event: str, clock: int, order_id: str, side: str,
                price: Optional[int], qty: int, flags: str = "") -> None:
         price_text = "-" if price is None else price
-        self.lines.append(f"{event}|{clock}|{order_id}|{side}|{price_text}|{qty}|{flags}")
+        self._write(f"{event}|{clock}|{order_id}|{side}|{price_text}|{qty}|{flags}\n")
 
     def to_text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        """Every line recorded so far; in-memory logs only."""
+        return self.stream.getvalue()
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
+    @property
+    def lines(self) -> list[str]:
+        return self.to_text().split("\n")[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ class OrderBook:
         led = self._ledger.setdefault(order.order_id, _Ledger())
         led.submitted += order.quantity
         if self.log is not None:
-            self._log("submit", order.order_id, order.side.value, order.limit_price,
+            self._log("submit", order.order_id, order.side._value_, order.limit_price,
                       order.quantity, self._submit_flags(order, rejected=reason))
         if reason is not None:
             led.cancelled += order.quantity
@@ -344,7 +353,7 @@ class OrderBook:
         if order.tif is Tif.FOK and self._crossable(order.side, qty, eff_limit) < qty:
             led = self._ledger[order.order_id]
             led.cancelled += qty
-            self._log("cancel", order.order_id, order.side.value, order.limit_price,
+            self._log("cancel", order.order_id, order.side._value_, order.limit_price,
                       qty, "why=fok-unfillable")
             return SubmitResult((), Disposition.CANCELLED)
 
@@ -355,8 +364,9 @@ class OrderBook:
                 led = self._ledger[order.order_id]
                 led.cancelled += leftover
                 if self.log is not None:
-                    why = "market-exhausted" if order.kind is OrderKind.MARKET else order.tif.value
-                    self._log("cancel", order.order_id, order.side.value, order.limit_price,
+                    why = ("market-exhausted" if order.kind is OrderKind.MARKET
+                           else order.tif._value_)
+                    self._log("cancel", order.order_id, order.side._value_, order.limit_price,
                               leftover, f"why={why}")
                 disp = Disposition.CANCELLED
             else:
@@ -568,7 +578,7 @@ class OrderBook:
         self._ledger.setdefault(maker.order.order_id, _Ledger()).filled += qty
         self.last_trade_price = price
         if self.log is not None:
-            self._log("fill", taker.order_id, taker.side.value, price, qty,
+            self._log("fill", taker.order_id, taker.side._value_, price, qty,
                       f"maker={maker.order.order_id},maker_hidden={int(hidden)}")
 
     # -- resting ------------------------------------------------------------
@@ -624,7 +634,7 @@ class OrderBook:
 
     def cancel(self, order_id: str) -> int:
         order, removed = self._remove(order_id)
-        self._log("cancel", order_id, order.side.value, order.limit_price,
+        self._log("cancel", order_id, order.side._value_, order.limit_price,
                   removed, "why=user")
         return removed
 
@@ -642,8 +652,8 @@ class OrderBook:
                 continue
             _, removed = self._remove(order_id)
             if self.log is not None:
-                self._log("expire", order_id, order.side.value, order.limit_price,
-                          removed, f"tif={order.tif.value}")
+                self._log("expire", order_id, order.side._value_, order.limit_price,
+                          removed, f"tif={order.tif._value_}")
             expired.append(order_id)
         activated = False
         while self._gats and self._gats[0][0] <= self.clock:
@@ -651,7 +661,7 @@ class OrderBook:
             if self._index.get(order.order_id) is not order:
                 continue   # cancelled before its start
             del self._index[order.order_id]
-            self._log("trigger", order.order_id, order.side.value, order.limit_price,
+            self._log("trigger", order.order_id, order.side._value_, order.limit_price,
                       order.quantity, "kind=gat")
             self._enter(order)
             activated = True
@@ -707,12 +717,12 @@ class OrderBook:
             tif_time=order.tif_time, timestamp=order.timestamp,
             venue_id=order.venue_id)
         if self.log is not None:
-            self._log("trigger", order.order_id, order.side.value, order.stop_price,
-                      order.quantity, f"kind=stop,as={converted.kind.value}")
+            self._log("trigger", order.order_id, order.side._value_, order.stop_price,
+                      order.quantity, f"kind=stop,as={converted.kind._value_}")
         if converted.kind is OrderKind.MARKET and not self._prices[converted.side.opposite]:
             # nothing to hit: the stop dies rather than resting as a market order
             self._ledger[order.order_id].cancelled += order.quantity
-            self._log("cancel", order.order_id, order.side.value, None,
+            self._log("cancel", order.order_id, order.side._value_, None,
                       order.quantity, "why=stop-into-empty-book")
         else:
             self._enter(converted)
@@ -812,9 +822,9 @@ class OrderBook:
         return self._seq
 
     def _submit_flags(self, order: Order, rejected: Optional[str]) -> str:
-        flags = f"kind={order.kind.value},tif={order.tif.value},disp={order.display}"
+        flags = f"kind={order.kind._value_},tif={order.tif._value_},disp={order.display}"
         if order.kind is OrderKind.STOP:
-            flags += f",stop={order.stop_price},as={order.stop_kind.value}"
+            flags += f",stop={order.stop_price},as={order.stop_kind._value_}"
         if order.discretion_offset:
             flags += f",disc={order.discretion_offset}"
         if rejected:
@@ -823,5 +833,7 @@ class OrderBook:
 
     def _log(self, event: str, order_id: str, side: str, price: Optional[int],
              qty: int, flags: str) -> None:
+        # Callers pass enum text as ``member._value_``, a plain attribute read;
+        # ``.value`` would go through the enum descriptor on every line.
         if self.log is not None:
             self.log.record(event, self.clock, order_id, side, price, qty, flags)

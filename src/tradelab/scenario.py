@@ -52,6 +52,12 @@ class OptimizerConfig:
     benchmark: str = "both"      # arrival | previous_close | both
     drift: float = 0.0
 
+    def __post_init__(self):
+        if self.alpha_min <= 0:
+            raise ValueError("alpha_min must be positive")
+        if self.alpha_min > self.alpha_max:
+            raise ValueError("alpha_min must not exceed alpha_max")
+
 
 # ---------------------------------------------------------------------------
 # field tables

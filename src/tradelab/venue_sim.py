@@ -26,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +138,10 @@ class MarketParams:
             raise ValueError("adv must be positive")
         if self.session_ticks <= 0:
             raise ValueError("session_ticks must be positive")
+        if self.tick_size <= 0:
+            raise ValueError("tick_size must be positive")
+        if self.intensity < 0:
+            raise ValueError("intensity must be >= 0")
 
     @property
     def initial_price_ticks(self) -> int:
@@ -160,10 +164,15 @@ def settle_fees(venue: VenueConfig, fill: Fill, role: str) -> float:
 
 
 class MarketSim:
-    """Seeded multi-venue simulation with per-tick background flow."""
+    """Seeded multi-venue simulation with per-tick background flow.
+
+    ``logs`` maps each venue id to the event log its book records into; by
+    default every venue gets its own in-memory ``EventLog``.
+    """
 
     def __init__(self, params: MarketParams, venues: Optional[Sequence[VenueConfig]] = None,
-                 profile: Optional[VolumeProfile] = None):
+                 profile: Optional[VolumeProfile] = None,
+                 logs: Optional[Mapping[str, EventLog]] = None):
         self.params = params
         self.venues = {v.venue_id: v for v in (venues or [VenueConfig("V1")])}
         if not self.venues:
@@ -174,7 +183,8 @@ class MarketSim:
         self.fundamental = float(params.initial_price_ticks)
         self.books: dict[str, OrderBook] = {
             vid: OrderBook(venue_id=vid, tick_size=params.tick_size,
-                           session_close=params.session_ticks, log=EventLog())
+                           session_close=params.session_ticks,
+                           log=EventLog() if logs is None else logs[vid])
             for vid in self.venues
         }
         self.fills: list[tuple[str, Fill]] = []

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from tradelab import cli, harness
+from tradelab.exec_algos import run_algorithm
 from tradelab.scenario import load_scenario
 from tradelab.tca import TCAInputs, expanded_tc
+from tradelab.venue_sim import MarketSim
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -146,6 +148,22 @@ class TestRun:
         assert recomputed.total == pytest.approx(report["tca"]["total"], rel=1e-12)
         assert recomputed.execution_cost == pytest.approx(
             report["tca"]["execution_cost"], rel=1e-12)
+
+    def test_streamed_event_logs_match_an_in_memory_run(self, tmp_path):
+        """Two venues: each events file is its header plus the log the same
+        seed records in memory."""
+        scenario = small_scenario(tmp_path, SMALL_RUN.replace(
+            "[parent]", "[venue:V2]\ntaker_fee = 0.003\nlatency = 2\n\n[parent]"))
+        out = tmp_path / "two"
+        harness.run(scenario, out)
+        sim = MarketSim(scenario.market, venues=scenario.venues, profile=scenario.profile)
+        run_algorithm(scenario.algo, scenario.parent, sim, wiring=scenario.wiring)
+        assert sorted(p.name for p in out.glob("events_*.log")) == [
+            "events_V1.log", "events_V2.log"]
+        for vid, book in sim.books.items():
+            memory = book.log.to_text()
+            assert memory.count("\n") > 1_000, vid
+            assert (out / f"events_{vid}.log").read_text() == scenario.header() + memory
 
     def test_event_log_covers_every_report_fill(self, tmp_path):
         scenario = small_scenario(tmp_path)

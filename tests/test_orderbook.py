@@ -424,6 +424,22 @@ class TestRejections:
             is Disposition.REJECTED
 
 
+@pytest.fixture(params=["memory", "file"])
+def event_log(request, tmp_path):
+    """An EventLog and a function that reads back its text: in memory, or
+    streamed to a file the way a scenario run writes ``events_<venue>.log``."""
+    if request.param == "memory":
+        log = EventLog()
+        yield log, log.to_text
+        return
+    path = tmp_path / "events.log"
+    with open(path, "w") as fh:
+        def text():
+            fh.flush()
+            return path.read_text()
+        yield EventLog(fh), text
+
+
 class TestEventLog:
     def test_fixed_column_lines(self):
         log = EventLog()
@@ -444,13 +460,13 @@ class TestEventLog:
         book.expire(100)
         assert any(line.startswith("expire|100|D|") for line in log.lines)
 
-    def test_golden_lines_for_every_event_and_flag(self):
+    def test_golden_lines_for_every_event_and_flag(self, event_log):
         """Byte-exact lines for each event kind, flag and cancel reason.
 
         The packaged scenarios emit only plain submits, fills and expiries,
         so their artifact pins do not cover these lines.
         """
-        log = EventLog()
+        log, text = event_log
         book = OrderBook(log=log)
         book.submit(limit("S1", Side.SELL, 51, 100), clock=1)
         book.submit(limit("S2", Side.SELL, 51, 100, display=0), clock=2)
@@ -471,7 +487,7 @@ class TestEventLog:
                           stop_kind=OrderKind.LIMIT, limit_price=52), clock=31)
         book.submit(limit("B5", Side.BUY, 50, 10), clock=32)
         book.submit(limit("S5", Side.SELL, 50, 10), clock=33)   # empties the bid side
-        assert log.to_text() == (
+        assert text() == (
             "submit|1|S1|sell|51|100|kind=limit,tif=gtc,disp=100\n"
             "submit|2|S2|sell|51|100|kind=limit,tif=gtc,disp=0\n"
             "submit|3|S3|sell|53|50|kind=limit,tif=gtc,disp=50,disc=1\n"

@@ -235,6 +235,11 @@ class TestRejectedThroughCli:
         ("parent", "quantity", "0"),
         ("market", "session_ticks", "0"),
         ("algo", "tilt_factor", "0"),
+        ("algo", "bucket_ticks", "0"),
+        ("optimizer", "alpha_min", "0"),
+        ("optimizer", "alpha_min", "2.0"),   # above the default alpha_max of 1.0
+        ("market", "tick_size", "0"),
+        ("market", "intensity", "-1"),
     ])
     def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
         path = with_field(tmp_path, section, key, value)
