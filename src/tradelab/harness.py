@@ -378,7 +378,7 @@ def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
     alphas = np.linspace(opt.alpha_min, opt.alpha_max, 400)
     rows = sample_cost_surface(coeffs, risk, alphas)
     surface = "alpha|mi|risk\n" + "".join(
-        f"{a!r}|{m!r}|{r!r}\n" for a, m, r in rows)
+        f"{float(a)!r}|{m!r}|{r!r}\n" for a, m, r in rows)
     _write(out / "cost_surface.txt", header, surface)
     written.append("cost_surface.txt")
     return written
