@@ -3,10 +3,10 @@
 ``run`` executes a scenario end to end (simulation, algorithm, TCA,
 optimizer) and writes its artifact files: the echoed config, per-venue event
 logs, the parent fill log, the TCA report, frontier tables and the cost
-surface. The event logs stream into their files while the session runs. Every artifact starts with a header line carrying the artifact
-version and the scenario hash, so fixtures invalidate when formats change.
-Runs are deterministic: the same scenario and seed produce byte-identical
-files.
+surface. The event logs stream into their files while the session runs.
+Every artifact starts with a header line carrying the artifact version and
+the scenario hash, so fixtures invalidate when formats change. Runs are
+deterministic: the same scenario and seed produce byte-identical files.
 
 ``replay_fixtures`` replays the packaged golden book fixtures (delimited
 event-log scripts with expected fills and after-states) and reports the

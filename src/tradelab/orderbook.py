@@ -160,8 +160,8 @@ class EventLog:
     ``record`` writes each finished line, newline included, to ``stream``. By
     default that is an in-memory ``io.StringIO``, which ``lines`` and
     ``to_text`` read back. A scenario run passes each venue's open
-    ``events_<venue>.log`` instead, so its lines stream to disk as they happen
-    and the session holds none of them.
+    ``events_<venue>.log`` instead (and closes it itself), so its lines stream
+    to disk as they happen and the session holds none of them.
     """
 
     COLUMNS = ("event", "clock", "order_id", "side", "price_ticks", "qty", "flags")
@@ -182,6 +182,7 @@ class EventLog:
 
     @property
     def lines(self) -> list[str]:
+        """The recorded lines without their newlines; in-memory logs only."""
         return self.to_text().split("\n")[:-1]
 
 

@@ -17,6 +17,11 @@ random-cancel churn exercises the cancel path.
 43 µs all in on a 2-core Xeon (POV quarter day, one venue, intensity 1), down
 from 59 µs before the taker sizes were computed per bucket and the log flags
 preformatted.
+
+A scenario run hands ``MarketSim`` file-backed logs, so the lines stream to
+disk as the session runs. On one full-day session over three venues (the
+benchmark's ``heavy_day``), that and slotted ``Fill`` records cut memory
+growth from 83 MB to 39 MB per run.
 """
 
 from __future__ import annotations
