@@ -4,16 +4,17 @@ priority, sniping, and smart routing over a consolidated book.
 Run:  python demos/04_tactics_and_routing.py
 """
 
+import numpy as np
+
 from tradelab.orderbook import Order, OrderBook, OrderKind, Side
 from tradelab.tactics import (
     LayerSet,
     RouteWeights,
     SlicePolicy,
-    Slicer,
     SnipeWatch,
-    VenueCandidate,
     aggregate,
     candidates_from_virtual,
+    draw_slice_size,
     maintain_layers,
     route,
 )
@@ -25,15 +26,11 @@ def limit(oid, side, price, qty):
 
 
 print("== sequential slicing (synthetic iceberg) ==")
-slicer = Slicer(10_000, Side.SELL, 51,
-                SlicePolicy(display=1_000, randomize=True, jitter=0.3, seed=38))
+policy = SlicePolicy(display=1_000, jitter=0.3, seed=38)
+rng = np.random.default_rng(policy.seed)
 sizes = []
-while True:
-    child = slicer.next_child()
-    if child is None:
-        break
-    sizes.append(child.quantity)
-    slicer.confirm(child.order_id, child.quantity)   # assume each child resolves
+while sum(sizes) < 10_000:   # each child goes out once the one before resolves
+    sizes.append(min(draw_slice_size(policy, rng), 10_000 - sum(sizes)))
 print(f"child sizes: {sizes} (sum {sum(sizes)})")
 print("randomized sizes hide the footprint; each child waits for a confirmation")
 

@@ -250,7 +250,9 @@ class ExecutionTrace:
     parent: ParentOrder
     children: list[Order] = field(default_factory=list)
     fills: list[TraceFill] = field(default_factory=list)
-    realized: list[tuple[int, int, int]] = field(default_factory=list)  # (bucket, target, done)
+    # twap/vwap: (bucket, bucket target, shares filled in the bucket);
+    # pov: (window, cumulative own target, cumulative shares filled)
+    realized: list[tuple[int, int, int]] = field(default_factory=list)
     residual: int = 0
     participation: Optional[float] = None
     arrival_price: Optional[float] = None   # ticks (mid at start)
@@ -362,13 +364,12 @@ def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     return trace
 
 
-def _make_child(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
-                venue_id: str, oid: str, qty: int) -> Order:
+def _make_child(spec: AlgoSpec, parent: ParentOrder, oid: str, qty: int) -> Order:
     price_cap = spec.price_limit if spec.price_limit is not None else parent.price_limit
     if price_cap is not None:
         return Order(oid, parent.side, OrderKind.LIMIT, qty, limit_price=price_cap,
-                     tif=Tif.IOC, venue_id=venue_id)
-    return Order(oid, parent.side, OrderKind.MARKET, qty, venue_id=venue_id)
+                     tif=Tif.IOC)
+    return Order(oid, parent.side, OrderKind.MARKET, qty)
 
 
 def _choose_venue(parent: ParentOrder, sim: MarketSim, tracker: _ChildTracker,
@@ -395,7 +396,7 @@ def _submit_child(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     if opposite_best is None and spec.price_limit is None and parent.price_limit is None:
         return   # market child into an empty book would be rejected
     oid = tracker.next_id()
-    order = _make_child(spec, parent, sim, venue_id, oid, qty)
+    order = _make_child(spec, parent, oid, qty)
     tracker.register(order)
     trace.children.append(order)
     sim.dispatch(venue_id, order)

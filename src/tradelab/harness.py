@@ -37,7 +37,7 @@ from tradelab.orderbook import (
 )
 from tradelab.scenario import Scenario, ScenarioError, load_scenario
 from tradelab.tca import ISReport, TCAInputs, expanded_tc, report_text
-from tradelab.tactics import SlicePolicy, slice_next
+from tradelab.tactics import SlicePolicy, draw_slice_size
 from tradelab.venue_sim import MarketSim
 
 
@@ -56,14 +56,6 @@ class FixtureFormatError(ValueError):
     pass
 
 
-_KIND_MAP = {
-    "market": OrderKind.MARKET,
-    "limit": OrderKind.LIMIT,
-    "market_with_protection": OrderKind.MARKET_WITH_PROTECTION,
-    "stop": OrderKind.STOP,
-}
-
-
 def _parse_flags(text: str) -> dict:
     flags = {}
     if text:
@@ -73,23 +65,26 @@ def _parse_flags(text: str) -> dict:
     return flags
 
 
-def _parse_order_line(line: str) -> tuple[int, Order]:
+def _columns(line: str) -> list[str]:
     cols = line.split("|")
     if len(cols) != 7:
-        raise FixtureFormatError(f"bad event line (want 7 columns): {line!r}")
-    _, clock, oid, side, price, qty, flag_text = cols
+        raise FixtureFormatError(f"want 7 columns, got {len(cols)}")
+    return cols
+
+
+def _parse_order_line(line: str) -> tuple[int, Order]:
+    _, clock, oid, side, price, qty, flag_text = _columns(line)
     flags = _parse_flags(flag_text)
-    kind = _KIND_MAP[flags.get("kind", "market" if price == "-" else "limit")]
     order = Order(
         order_id=oid,
         side=Side(side),
-        kind=kind,
+        kind=OrderKind(flags.get("kind", "market" if price == "-" else "limit")),
         quantity=int(qty),
         limit_price=None if price == "-" else int(price),
         display_quantity=int(flags["disp"]) if "disp" in flags else None,
         discretion_offset=int(flags.get("disc", 0)),
         stop_price=int(flags["stop"]) if "stop" in flags else None,
-        stop_kind=_KIND_MAP[flags.get("as", "market")],
+        stop_kind=OrderKind(flags.get("as", "market")),
         protection_offset=int(flags["prot"]) if "prot" in flags else None,
         tif=Tif(flags.get("tif", "gtc")),
         tif_time=int(flags["tif_time"]) if "tif_time" in flags else None,
@@ -98,21 +93,34 @@ def _parse_order_line(line: str) -> tuple[int, Order]:
 
 
 def _parse_slice_line(line: str) -> tuple[int, Order]:
-    cols = line.split("|")
-    if len(cols) != 7:
-        raise FixtureFormatError(f"bad slice line (want 7 columns): {line!r}")
-    _, clock, oid, side, price, _qty, flag_text = cols
+    """A synthetic-iceberg child: the next draw after ``emitted`` earlier ones."""
+    _, clock, oid, side, price, _qty, flag_text = _columns(line)
     flags = _parse_flags(flag_text)
-    policy = SlicePolicy(display=int(flags["display"]), randomize=True,
-                         jitter=float(flags["jitter"]), seed=int(flags["seed"]))
-    child = slice_next(parent_qty=int(flags["parent"]), side=Side(side),
-                       price=int(price), fills_so_far=int(flags["filled"]),
-                       children_emitted=int(flags["emitted"]), policy=policy)
-    if child is None:
-        raise FixtureFormatError(f"slice action produced no child: {line!r}")
-    renamed = Order(oid, child.side, child.kind, child.quantity,
-                    limit_price=child.limit_price)
-    return int(clock), renamed
+    policy = SlicePolicy(display=int(flags["display"]), jitter=float(flags["jitter"]),
+                         seed=int(flags["seed"]))
+    remaining = int(flags["parent"]) - int(flags["filled"])
+    if remaining <= 0:
+        raise FixtureFormatError("slice action produced no child")
+    rng = np.random.default_rng(policy.seed)
+    for _ in range(int(flags["emitted"])):
+        draw_slice_size(policy, rng)
+    size = min(draw_slice_size(policy, rng), remaining)
+    return int(clock), Order(oid, Side(side), OrderKind.LIMIT, size, limit_price=int(price))
+
+
+def _parse_line(line: str) -> tuple[int, Order]:
+    """A setup or action line; any error in it is a FixtureFormatError naming it."""
+    event = line.partition("|")[0]
+    try:
+        if event == "submit":
+            return _parse_order_line(line)
+        if event == "slice":
+            return _parse_slice_line(line)
+        raise FixtureFormatError(f"unknown event {event!r}")
+    except KeyError as exc:
+        raise FixtureFormatError(f"{line}: missing flag {exc}") from None
+    except ValueError as exc:
+        raise FixtureFormatError(f"{line}: {exc}") from None
 
 
 def _parse_fixture(text: str) -> dict:
@@ -167,19 +175,16 @@ def _first_divergence(expected: list[str], actual: list[str], label: str) -> lis
 def replay_fixture_text(name: str, text: str) -> FixtureResult:
     try:
         sections = _parse_fixture(text)
+        setup = [_parse_line(line) for line in sections["setup"]]
+        action = [_parse_line(line) for line in sections["action"]]
     except FixtureFormatError as exc:
         return FixtureResult(name=name, passed=False, diff=[f"format: {exc}"])
     log = EventLog()
     book = OrderBook(log=log)
-    for line in sections["setup"]:
-        clock, order = _parse_order_line(line)
+    for clock, order in setup:
         book.submit(order, clock=clock)
     log_mark = len(log.lines)
-    for line in sections["action"]:
-        if line.startswith("slice|"):
-            clock, order = _parse_slice_line(line)
-        else:
-            clock, order = _parse_order_line(line)
+    for clock, order in action:
         book.submit(order, clock=clock)
     actual_fills = [l for l in log.lines[log_mark:] if l.startswith("fill|")]
     diff = _first_divergence(sections["expect.fills"], actual_fills, "fills")
@@ -190,9 +195,8 @@ def replay_fixture_text(name: str, text: str) -> FixtureResult:
         diff = _first_divergence(sections["expect.public"],
                                  _flatten_book(book, "public"), "public")
     if not diff and "expect.last_trade" in sections:
-        expected = sections["expect.last_trade"][0]
         actual = f"last_trade|{book.last_trade_price}"
-        diff = _first_divergence([expected], [actual], "last_trade")
+        diff = _first_divergence(sections["expect.last_trade"], [actual], "last_trade")
     return FixtureResult(name=name, passed=not diff, diff=diff)
 
 

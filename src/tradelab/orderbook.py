@@ -78,15 +78,16 @@ class UnknownOrderError(KeyError):
     """Raised when cancelling an order id the book has never seen or no longer holds."""
 
 
-@dataclass
-class Order:
+class Order(NamedTuple):
     """A single order as submitted to a venue.
 
     ``display_quantity`` is the iceberg peak: ``None`` means fully displayed,
     ``0`` means fully hidden. ``stop_kind`` names the order a stop converts
     into when triggered. ``tif_time`` carries the GTD expiry tick or the GAT
     start tick. ``discretion_offset`` is the hidden willingness to trade past
-    the displayed limit (in ticks).
+    the displayed limit (in ticks). An order is immutable: a book that turns
+    it into another kind (a triggered stop, a protected market order) enters
+    a copy made with ``_replace``.
     """
 
     order_id: str
@@ -101,8 +102,6 @@ class Order:
     discretion_offset: int = 0
     tif: Tif = Tif.GTC
     tif_time: Optional[int] = None
-    timestamp: int = 0
-    venue_id: str = ""
 
     @property
     def display(self) -> int:
@@ -287,9 +286,6 @@ class OrderBook:
             return (0, 0, 0)
         return (entry.submitted, entry.filled, entry.cancelled)
 
-    def all_fills(self) -> list[Fill]:
-        return list(self._fills)
-
     def fill_count(self) -> int:
         return len(self._fills)
 
@@ -423,14 +419,7 @@ class OrderBook:
         offset = order.protection_offset or 0
         limit = (self.last_trade_price + offset if order.side is Side.BUY
                  else self.last_trade_price - offset)
-        converted = Order(
-            order_id=order.order_id, side=order.side, kind=OrderKind.LIMIT,
-            quantity=order.quantity, limit_price=limit,
-            display_quantity=order.display_quantity,
-            discretion_offset=order.discretion_offset, tif=order.tif,
-            tif_time=order.tif_time, timestamp=order.timestamp,
-            venue_id=order.venue_id)
-        return converted
+        return order._replace(kind=OrderKind.LIMIT, limit_price=limit)
 
     def _effective_limit(self, order: Order) -> Optional[int]:
         if order.limit_price is None:
@@ -710,13 +699,7 @@ class OrderBook:
             return None
         del self._stops[order.order_id]
         del self._index[order.order_id]
-        converted = Order(
-            order_id=order.order_id, side=order.side, kind=order.stop_kind,
-            quantity=order.quantity, limit_price=order.limit_price,
-            display_quantity=order.display_quantity,
-            discretion_offset=order.discretion_offset, tif=order.tif,
-            tif_time=order.tif_time, timestamp=order.timestamp,
-            venue_id=order.venue_id)
+        converted = order._replace(kind=order.stop_kind)
         if self.log is not None:
             self._log("trigger", order.order_id, order.side._value_, order.stop_price,
                       order.quantity, f"kind=stop,as={converted.kind._value_}")

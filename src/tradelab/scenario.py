@@ -405,8 +405,7 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
                     "no [tactics].slice_display")
             v.update(slice_jitter=None, slice_seed=None)
         else:
-            scenario.wiring.slice_policy = _make("tactics", _SLICE, SlicePolicy, v,
-                                                 randomize=v["slice_jitter"] > 0)
+            scenario.wiring.slice_policy = _make("tactics", _SLICE, SlicePolicy, v)
         if any(parser.has_option("tactics", f.key) for f in _ROUTE):
             scenario.wiring.route_weights = _make("tactics", _ROUTE, RouteWeights, v)
         else:

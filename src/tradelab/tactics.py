@@ -35,9 +35,7 @@ from tradelab.venue_sim import VenueConfig
 @dataclass(frozen=True)
 class SlicePolicy:
     display: int                 # child size (pre-jitter)
-    randomize: bool = False
-    jitter: float = 0.0          # max fractional size perturbation
-    mode: str = "sequential"     # sequential | parallel
+    jitter: float = 0.0          # max fractional size perturbation; 0 = fixed size
     seed: int = 0
 
     def __post_init__(self):
@@ -45,84 +43,21 @@ class SlicePolicy:
             raise ValueError("display size must be positive")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must lie in [0, 1)")
-        if self.mode not in ("sequential", "parallel"):
-            raise ValueError("mode must be 'sequential' or 'parallel'")
 
 
 def draw_slice_size(policy: SlicePolicy, rng: np.random.Generator) -> int:
-    """One (possibly jittered) child size from the policy's stream."""
+    """One (possibly jittered) child size from the policy's stream.
+
+    A synthetic iceberg draws its children in order from one generator seeded
+    with ``policy.seed``; the caller caps each draw at the parent's remainder.
+    Each child goes out only after the one before resolves, so a cross that a
+    native iceberg's reserve would catch can be missed between slices.
+    """
     size = policy.display
-    if policy.randomize and policy.jitter > 0:
+    if policy.jitter > 0:
         u = float(rng.uniform(-policy.jitter, policy.jitter))
         size = int(round(policy.display * (1.0 + u)))
     return max(1, size)
-
-
-class Slicer:
-    """Synthetic iceberg: emits the next child only after the prior resolves.
-
-    Because each slice waits for an execution confirmation, a cross that a
-    native iceberg's reserve would have caught can be missed between slices.
-    ``next_child`` returns None while a child is outstanding (sequential
-    mode) or once the parent is done.
-    """
-
-    def __init__(self, parent_qty: int, side: Side, price: int, policy: SlicePolicy,
-                 id_prefix: str = "slice"):
-        if parent_qty <= 0:
-            raise ValueError("parent quantity must be positive")
-        self.parent_qty = parent_qty
-        self.side = side
-        self.price = price
-        self.policy = policy
-        self.id_prefix = id_prefix
-        self.rng = np.random.default_rng(policy.seed)
-        self.emitted = 0          # children emitted so far
-        self.committed = 0        # shares sent out across all children
-        self.resolved = 0         # shares of resolved children (filled or cancelled)
-        self.outstanding: Optional[str] = None
-
-    def _draw_size(self) -> int:
-        return draw_slice_size(self.policy, self.rng)
-
-    def next_child(self) -> Optional[Order]:
-        if self.policy.mode == "sequential" and self.outstanding is not None:
-            return None
-        remaining = self.parent_qty - self.committed
-        if remaining <= 0:
-            return None
-        size = min(self._draw_size(), remaining)
-        self.emitted += 1
-        oid = f"{self.id_prefix}-{self.emitted}"
-        self.committed += size
-        self.outstanding = oid
-        return Order(oid, self.side, OrderKind.LIMIT, size, limit_price=self.price)
-
-    def confirm(self, order_id: str, resolved_qty: int) -> None:
-        """Mark a child resolved (fully filled or cancelled) with its quantity."""
-        if order_id != self.outstanding:
-            raise ValueError(f"unexpected confirmation for {order_id}")
-        self.resolved += resolved_qty
-        self.outstanding = None
-
-    @property
-    def done(self) -> bool:
-        return self.committed >= self.parent_qty and self.outstanding is None
-
-
-def slice_next(parent_qty: int, side: Side, price: int, fills_so_far: int,
-               children_emitted: int, policy: SlicePolicy) -> Optional[Order]:
-    """Stateless form of Slicer.next_child for replay-style callers.
-
-    Reconstructs the jitter stream from the policy seed: the draw for each
-    previously emitted child is consumed before sizing the next one.
-    """
-    slicer = Slicer(parent_qty, side, price, policy)
-    for _ in range(children_emitted):
-        slicer._draw_size()
-    slicer.committed = fills_so_far
-    slicer.emitted = children_emitted
-    return slicer.next_child()
 
 
 # ---------------------------------------------------------------------------

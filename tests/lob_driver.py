@@ -211,7 +211,7 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
         _apply(book, ops[-1], orders)
         book.check_invariants()
         _check_conservation(book, orders)
-    return ops, book.all_fills()
+    return ops, book.fills_since(0)
 
 
 def _apply(book: OrderBook, op: tuple, orders) -> None:
@@ -251,7 +251,7 @@ def replay(ops) -> tuple[list, "OrderBook"]:
             book.cancel(target)
         else:
             book.expire(op[1])
-    return book.all_fills(), book
+    return book.fills_since(0), book
 
 
 def run_suite(n_sequences: int, n_ops: int = 12, seed0: int = 0) -> int:

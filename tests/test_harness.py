@@ -252,6 +252,29 @@ class TestCli:
         assert cli.main(["replay-fixtures", "--dir", str(tmp_path)]) \
             == cli.EXIT_FIXTURE_MISMATCH
 
+    @pytest.mark.parametrize("good,bad,diff", [
+        ("submit|37555|MO|buy|-|2200|kind=market\n", "submit|37555|MO|buy|-|2200\n",
+         "format: submit|37555|MO|buy|-|2200: want 7 columns, got 6"),
+        ("jitter=0.3,", "",
+         "format: slice|37560|S6|sell|51|0|parent=10000,display=1000,seed=38,emitted=1,"
+         "filled=1000: missing flag 'jitter'"),
+        ("last_trade|52\n", "", "last_trade[0] expected: <nothing>"),
+        ("submit|37555|", "bogus|37555|",
+         "format: bogus|37555|MO|buy|-|2200|kind=market: unknown event 'bogus'"),
+    ], ids=["columns", "missing-flag", "empty-last-trade", "unknown-event"])
+    def test_malformed_fixture_fails_alone(self, tmp_path, capsys, good, bad, diff):
+        from importlib import resources
+        original = (resources.files("tradelab") / "fixtures" /
+                    "table3_panel_c.fixture").read_text()
+        (tmp_path / "good.fixture").write_text(original)
+        (tmp_path / "bad.fixture").write_text(original.replace(good, bad))
+        assert cli.main(["replay-fixtures", "--dir", str(tmp_path)]) \
+            == cli.EXIT_FIXTURE_MISMATCH
+        out = capsys.readouterr().out
+        assert "FAIL  bad" in out and "pass  good" in out
+        assert diff in out
+        assert "1/2 fixtures passed" in out
+
     def test_frontier_verb(self, tmp_path, capsys):
         code = cli.main(["frontier", str(SCENARIOS / "frontier_only.ini"),
                          "--out", str(tmp_path / "f")])

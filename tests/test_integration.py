@@ -29,7 +29,7 @@ class TestSliceWiring:
             sim = MarketSim(sim_params())
             parent = ParentOrder(side=Side.BUY, quantity=4_000, start=0, end=2_000)
             wiring = ExecutionWiring(slice_policy=SlicePolicy(
-                display=250, randomize=True, jitter=0.3, seed=seed))
+                display=250, jitter=0.3, seed=seed))
             trace = run_algorithm(AlgoSpec(type="twap", bucket_ticks=500), parent,
                                   sim, wiring=wiring)
             return [c.quantity for c in trace.children]

@@ -357,6 +357,20 @@ class TestStops:
         assert book.ledger("ST1")[1] == 100
         assert book.ledger("ST2")[1] == 50
 
+    def test_triggered_stop_limit_keeps_iceberg_and_gtd(self):
+        book = self.build()
+        stop = Order(order_id="STP", side=Side.SELL, kind=OrderKind.STOP, quantity=1_000,
+                     limit_price=108, display_quantity=200, stop_price=109,
+                     stop_kind=OrderKind.LIMIT, tif=Tif.GTD, tif_time=50)
+        assert book.submit(stop, clock=3).disposition is Disposition.RESTING
+        book.submit(limit("S1", Side.SELL, 109, 100), clock=4)
+        book.submit(market("B1", Side.BUY, 100), clock=5)   # prints 109: the stop fires
+        assert "STP" not in book.snapshot(visibility="omniscient").pending_stops
+        assert visible_sells(book) == [(108, "STP", 200, False), (108, "STP", 800, True)]
+        assert book.expire(49) == []
+        assert book.expire(50) == ["STP"]
+        assert book.remaining("STP") == 0
+
 
 class TestMarketWithProtection:
     def test_converts_to_limit_off_last_trade(self):
@@ -380,6 +394,23 @@ class TestMarketWithProtection:
         mwp = Order(order_id="MWP", side=Side.BUY, kind=OrderKind.MARKET_WITH_PROTECTION,
                     quantity=100, protection_offset=1)
         assert book.submit(mwp, clock=2).disposition is Disposition.REJECTED
+
+    def test_converted_order_keeps_display_and_discretion(self):
+        book = OrderBook()
+        book.submit(limit("S0", Side.SELL, 50, 100), clock=1)
+        book.submit(market("B0", Side.BUY, 100), clock=2)
+        mwp = Order(order_id="MWP", side=Side.BUY, kind=OrderKind.MARKET_WITH_PROTECTION,
+                    quantity=1_000, protection_offset=1, display_quantity=100,
+                    discretion_offset=1)
+        assert book.submit(mwp, clock=3).disposition is Disposition.RESTING
+        bids = book.snapshot(visibility="omniscient").bids
+        assert [(lvl.price, e.quantity, e.hidden) for lvl in bids for e in lvl.entries] \
+            == [(51, 100, False), (51, 900, True)]
+        # a sell at 52 is out of the displayed 51 but within the kept
+        # discretion; it fills one 100-share display slice at a time
+        result = book.submit(limit("S1", Side.SELL, 52, 300), clock=4)
+        assert [(f.price, f.quantity, f.maker_order_id) for f in result.fills] \
+            == [(52, 100, "MWP")] * 3
 
 
 class TestCancel:
@@ -616,6 +647,12 @@ class TestIndexedLayout:
         with pytest.raises(AttributeError):
             entry.quantity = 5
         assert entry == book.snapshot().asks[0].entries[0]
+
+    def test_orders_are_immutable(self):
+        order = limit("S1", Side.SELL, 51, 100)
+        with pytest.raises(AttributeError):
+            order.quantity = 50
+        assert order.quantity == 100
 
     def test_duplicate_live_order_id_is_rejected(self):
         book = OrderBook()

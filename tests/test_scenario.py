@@ -3,10 +3,12 @@
 import configparser
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tradelab import cli, harness
 from tradelab.scenario import SECTIONS, ScenarioError, load_scenario
+from tradelab.tactics import draw_slice_size
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -132,7 +134,8 @@ class TestTactics:
         s = load_scenario(write(tmp_path, text))
         policy, weights = s.wiring.slice_policy, s.wiring.route_weights
         assert (policy.display, policy.jitter, policy.seed) == (500, 0.2, 3)
-        assert policy.randomize
+        rng = np.random.default_rng(policy.seed)
+        assert len({draw_slice_size(policy, rng) for _ in range(20)}) > 1   # jittered
         assert weights.price == 2.0 and weights.fee == 0.5
         assert weights.latency == 1.0 and weights.exec_probability == 1.0   # defaulted
         assert "route_w_latency = 1.0" in s.echo() and "slice_seed = 3" in s.echo()
@@ -144,7 +147,10 @@ class TestTactics:
 
     def test_slice_display_alone_is_not_randomized(self, tmp_path):
         s = load_scenario(write(tmp_path, self.HEAD + "slice_display = 500\n"))
-        assert s.wiring.slice_policy.randomize is False
+        policy = s.wiring.slice_policy
+        assert policy.jitter == 0.0
+        rng = np.random.default_rng(policy.seed)
+        assert {draw_slice_size(policy, rng) for _ in range(20)} == {500}
         assert s.wiring.route_weights is None
         assert "route_w_price" not in s.echo()
 

@@ -1,5 +1,6 @@
 """Slicing, layering, pinging, sniping, routing, aggregation, catching."""
 
+import numpy as np
 import pytest
 
 from tradelab.orderbook import (
@@ -17,16 +18,15 @@ from tradelab.tactics import (
     LayerSet,
     RouteWeights,
     SlicePolicy,
-    Slicer,
     SnipeWatch,
     VenueCandidate,
     aggregate,
     candidates_from_virtual,
+    draw_slice_size,
     maintain_layers,
     ping,
     price_step,
     route,
-    slice_next,
     timing_urgency,
 )
 from tradelab.venue_sim import VenueConfig
@@ -37,62 +37,31 @@ def limit(oid, side, price, qty, display=None, tif=Tif.GTC):
                  display_quantity=display, tif=tif)
 
 
-class TestSlicer:
-    def test_first_child_is_policy_size(self):
-        s = Slicer(10_000, Side.SELL, 51, SlicePolicy(display=1_000))
-        child = s.next_child()
-        assert (child.quantity, child.limit_price, child.side) == (1_000, 51, Side.SELL)
+def draws(policy, n):
+    rng = np.random.default_rng(policy.seed)
+    return [draw_slice_size(policy, rng) for _ in range(n)]
 
-    def test_sequential_waits_for_confirmation(self):
-        s = Slicer(10_000, Side.SELL, 51, SlicePolicy(display=1_000))
-        first = s.next_child()
-        assert s.next_child() is None
-        s.confirm(first.order_id, 1_000)
-        assert s.next_child() is not None
 
+class TestDrawSliceSize:
     def test_table3_golden_850_second_slice(self):
         # seed frozen so the randomized second slice reproduces the published
-        # 850-share follow-up (the first child's draw is consumed by S1)
-        policy = SlicePolicy(display=1_000, randomize=True, jitter=0.3, seed=38)
-        child = slice_next(10_000, Side.SELL, 51, fills_so_far=1_000,
-                           children_emitted=1, policy=policy)
-        assert child.quantity == 850
-        assert child.limit_price == 51
-
-    def test_final_child_capped_by_remainder(self):
-        s = Slicer(300, Side.SELL, 51, SlicePolicy(display=1_000))
-        child = s.next_child()
-        assert child.quantity == 300
-        s.confirm(child.order_id, 300)
-        assert s.next_child() is None
-        assert s.done
-
-    def test_total_never_exceeds_parent(self):
-        s = Slicer(2_500, Side.SELL, 51,
-                   SlicePolicy(display=1_000, randomize=True, jitter=0.25, seed=5))
-        total = 0
-        while True:
-            child = s.next_child()
-            if child is None:
-                break
-            total += child.quantity
-            s.confirm(child.order_id, child.quantity)
-        assert total == 2_500
+        # 850-share follow-up (the first draw sized S1)
+        assert draws(SlicePolicy(display=1_000, jitter=0.3, seed=38), 2)[1] == 850
 
     def test_deterministic_under_seed(self):
         def sizes(seed):
-            s = Slicer(5_000, Side.SELL, 51,
-                       SlicePolicy(display=1_000, randomize=True, jitter=0.3, seed=seed))
-            out = []
-            while True:
-                c = s.next_child()
-                if c is None:
-                    break
-                out.append(c.quantity)
-                s.confirm(c.order_id, c.quantity)
-            return out
+            return draws(SlicePolicy(display=1_000, jitter=0.3, seed=seed), 10)
         assert sizes(9) == sizes(9)
         assert sizes(9) != sizes(10)
+
+    def test_zero_jitter_is_always_display(self):
+        assert draws(SlicePolicy(display=1_000, seed=4), 20) == [1_000] * 20
+
+    @pytest.mark.parametrize("display,jitter", [(1_000, 0.3), (3, 0.9), (1, 0.5)])
+    def test_jittered_size_within_band(self, display, jitter):
+        for size in draws(SlicePolicy(display=display, jitter=jitter, seed=11), 500):
+            assert size >= 1
+            assert round(display * (1 - jitter)) <= size <= round(display * (1 + jitter))
 
 
 class TestLayering:
@@ -195,7 +164,7 @@ class TestPing:
             ping(book, Side.SELL, 51, 400, Tif.IOC, tracker)
             ping(book, Side.SELL, 51, 5_000, Tif.FOK, tracker)
             ping(book, Side.SELL, 51, 400, Tif.IOC, tracker)
-            return book.all_fills()
+            return book.fills_since(0)
 
         first, second = run(), run()
         assert first == second
