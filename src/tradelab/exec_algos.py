@@ -273,47 +273,55 @@ class ExecutionTrace:
 class _ChildTracker:
     """Names child orders, harvests their fills, and tracks exposure.
 
-    ``other_volume`` accumulates non-own traded volume as fills are harvested,
-    so POV sizing and overfill guards see a gap-free view of the stream.
+    ``harvest`` reads each venue's book through its own cursor. ``volume``
+    and ``other_volume`` accumulate all and non-own traded volume as fills
+    are harvested, so POV sizing and overfill guards see a gap-free view of
+    the stream.
     """
 
     def __init__(self, sim: MarketSim, venue_id: str):
         self.sim = sim
         self.venue_id = venue_id
-        self.ids: dict[str, None] = {}   # insertion-ordered: children in submission order
+        self.ids: dict[str, int] = {}   # child id -> submission index
         self.submitted = 0
+        self.volume = 0
         self.other_volume = 0
         self.wiring = ExecutionWiring()
         self.slice_rng: Optional[np.random.Generator] = None
         self.count_side: Optional[Side] = None   # POV one-sided volume measurement
         self._count = 0
-        self._cursor = 0
+        self._cursors = {vid: 0 for vid in sim.books}
 
     def next_id(self) -> str:
         self._count += 1
         return f"child-{self._count:04d}"
 
     def register(self, order: Order) -> None:
-        self.ids[order.order_id] = None
+        self.ids[order.order_id] = len(self.ids)
         self.submitted += order.quantity
 
     def harvest(self, trace: ExecutionTrace) -> int:
-        """Pull new own fills into the trace; returns newly filled quantity."""
-        got = 0
-        fills = self.sim.fills
-        while self._cursor < len(fills):
-            vid, f = fills[self._cursor]
-            self._cursor += 1
-            role = None
-            if f.taker_order_id in self.ids:
-                role = "taker"
-            elif f.maker_order_id in self.ids:
-                role = "maker"
-            if role is None:
-                if (self.count_side is None
-                        or self.sim.order_sides.get(f.taker_order_id) is self.count_side):
+        """Pull new own fills into the trace; returns newly filled quantity.
+
+        Own fills enter the trace in time order, and within a tick in the
+        order their children were submitted, whichever venue they filled on.
+        """
+        ids = self.ids
+        own = []
+        for vid, book in self.sim.books.items():
+            fills = book.fills_since(self._cursors[vid])
+            self._cursors[vid] += len(fills)
+            for f in fills:
+                self.volume += f.quantity
+                if f.taker_order_id in ids:
+                    own.append((f.time, ids[f.taker_order_id], vid, f, "taker"))
+                elif f.maker_order_id in ids:
+                    own.append((f.time, ids[f.maker_order_id], vid, f, "maker"))
+                elif self.count_side is None or f.taker_side is self.count_side:
                     self.other_volume += f.quantity
-                continue
+        own.sort(key=lambda item: item[:2])
+        got = 0
+        for _, _, vid, f, role in own:
             child = f.taker_order_id if role == "taker" else f.maker_order_id
             trace.fills.append(TraceFill(tick=f.time, price=f.price, quantity=f.quantity,
                                          child_id=child, venue_id=vid, role=role))
@@ -350,17 +358,17 @@ def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     if sim.clock < parent.start:
         sim.advance(parent.start - sim.clock)
     trace.arrival_price = sim.mid(venue_id) or float(sim.fundamental)
-    horizon_fills_start = len(sim.fills)
-    tracker.harvest(trace)        # move the cursor past pre-horizon flow
-    tracker.other_volume = 0
+    tracker.harvest(trace)        # move the cursors past pre-horizon flow
+    tracker.volume = tracker.other_volume = 0
     if spec.type in ("twap", "vwap"):
         _run_scheduled(spec, parent, sim, trace, tracker, venue_id)
     else:
         _run_pov(spec, parent, sim, trace, tracker, venue_id)
     trace.residual = parent.quantity - trace.filled
     trace.final_price = sim.mid(venue_id) or float(sim.fundamental)
-    total, own = sim.traded_volume(own_ids=tracker.ids, since=horizon_fills_start)
-    trace.participation = (own / total) if total > 0 else None
+    # both runners end on a harvest, so the tracker has seen every fill
+    total = tracker.volume
+    trace.participation = (trace.filled / total) if total > 0 else None
     return trace
 
 

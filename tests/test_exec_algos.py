@@ -220,9 +220,9 @@ class TestRunAlgorithm:
         trace = run_algorithm(spec, p, sim)
         own_ids = {c.order_id for c in trace.children}
         same_side_other = sum(
-            f.quantity for vid, f in sim.fills
+            f.quantity for book in sim.books.values() for f in book.fills_since(0)
             if f.taker_order_id not in own_ids and f.maker_order_id not in own_ids
-            and sim.order_sides.get(f.taker_order_id) is Side.BUY)
+            and f.taker_side is Side.BUY)
         realized = trace.filled / (trace.filled + same_side_other)
         assert realized == pytest.approx(0.1, abs=0.015)
         # measured against both-sides volume the footprint is smaller

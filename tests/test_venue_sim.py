@@ -20,6 +20,11 @@ def params(seed=0, **overrides):
     return MarketParams(**base)
 
 
+def all_fills(sim):
+    """(venue, fill) for every fill of every book, venue by venue."""
+    return [(vid, f) for vid, book in sim.books.items() for f in book.fills_since(0)]
+
+
 class TestVolumeProfile:
     def test_single_bucket(self):
         assert u_shape_profile(1).fractions == (1.0,)
@@ -60,7 +65,7 @@ class TestVolumeProfile:
 
 
 class TestFees:
-    FILL = Fill("t", "m", price=50, quantity=100, time=1)
+    FILL = Fill("t", "m", price=50, quantity=100, time=1, taker_side=Side.BUY)
 
     def test_taker_fee(self):
         v = VenueConfig("V", taker_fee=0.003)
@@ -125,7 +130,7 @@ class TestAdvance:
         sim = MarketSim(params(intensity=0.0))
         seeded = list(sim.book().log.lines)
         sim.advance(200)
-        assert sim.fills == []
+        assert all_fills(sim) == []
         assert sim.book().log.lines == seeded
         assert len(seeded) == 2 * sim.params.max_quote_offset
         assert all(line.startswith("submit|0|bg-") for line in seeded)
@@ -138,7 +143,7 @@ class TestAdvance:
     def test_session_volume_near_adv_single_seed(self):
         sim = MarketSim(params(seed=1))
         sim.run_session()
-        traded = sum(f.quantity for _, f in sim.fills)
+        traded = sum(f.quantity for _, f in all_fills(sim))
         assert traded == pytest.approx(sim.params.adv, rel=0.10)
 
     def test_bucket_realization_tracks_profile(self):
@@ -146,7 +151,7 @@ class TestAdvance:
         sim = MarketSim(params(seed=4), profile=profile)
         sim.run_session()
         per_bucket = [0] * 13
-        for vid, f in sim.fills:
+        for vid, f in all_fills(sim):
             per_bucket[profile.bucket_of(f.time - 1, sim.params.session_ticks)] += f.quantity
         total = sum(per_bucket)
         for j, z in enumerate(profile.fractions):
@@ -168,7 +173,7 @@ class TestAdvance:
                                    session_ticks=2_600), profile=profile)
             sim.run_session()
             per_bucket = [0] * 13
-            for vid, f in sim.fills:
+            for vid, f in all_fills(sim):
                 per_bucket[profile.bucket_of(f.time - 1, 2_600)] += f.quantity
             total = sum(per_bucket)
             return max(abs(v / total - z)
@@ -182,7 +187,7 @@ class TestDeterminism:
         sim = MarketSim(params(seed=seed, session_ticks=1_000))
         sim.advance(1_000)
         snap = sim.book().snapshot(visibility="omniscient")
-        return sim.fills, snap, sim.book().log.lines
+        return all_fills(sim), snap, sim.book().log.lines
 
     def test_identical_seed_identical_stream(self):
         fills_a, snap_a, log_a = self.run_one(42)
@@ -195,3 +200,88 @@ class TestDeterminism:
         fills_a, _, _ = self.run_one(42)
         fills_b, _, _ = self.run_one(43)
         assert fills_a != fills_b
+
+
+THREE_VENUES = (VenueConfig("A", latency=1), VenueConfig("B", latency=3), VenueConfig("C"))
+
+
+class TestChunking:
+    """The stream is a function of the seed and the clock alone: how the
+    caller chops the session into ``advance`` calls must not matter."""
+
+    def run_in_steps(self, step):
+        sim = MarketSim(params(seed=11, session_ticks=2_500, cancel_prob=0.05),
+                        venues=THREE_VENUES)
+        for vid in sim.venues:   # one dispatched order per venue, landing after its latency
+            sim.dispatch(vid, Order(f"c-{vid}", Side.BUY, OrderKind.MARKET, 300))
+        if step is None:
+            sim.run_session()
+        while sim.clock < sim.params.session_ticks:
+            sim.advance(min(step, sim.params.session_ticks - sim.clock))
+        return ({vid: book.log.lines for vid, book in sim.books.items()},
+                all_fills(sim), sim.fundamental)
+
+    @pytest.mark.parametrize("step", [1, 7])
+    def test_advance_steps_give_the_session_stream(self, step):
+        logs, fills, fundamental = self.run_in_steps(step)
+        logs_s, fills_s, fundamental_s = self.run_in_steps(None)
+        assert fundamental == fundamental_s
+        assert fills == fills_s
+        assert logs == logs_s
+
+
+class TestPerOrderState:
+    """Per-order state follows the live book, not every order ever sent."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        sim = MarketSim(params(seed=5, session_ticks=3_000, cancel_prob=0.1,
+                               limit_ttl=300), venues=THREE_VENUES)
+        children = {}
+        while sim.clock < sim.params.session_ticks:
+            if sim.clock % 250 == 0:
+                for vid in sim.venues:
+                    oid = f"child-{vid}-{sim.clock}"
+                    side = Side.BUY if sim.clock % 500 == 0 else Side.SELL
+                    children[oid] = vid
+                    sim.dispatch(vid, Order(oid, side, OrderKind.MARKET, 400))
+            sim.advance(1)
+        return sim, children
+
+    def test_ledgers_and_sides_hold_live_and_child_ids_only(self, session):
+        sim, children = session
+        held = set()
+        for book in sim.books.values():
+            live = book.order_ids()
+            held |= live
+            assert set(book._ledger) <= live | children.keys()
+        assert set(sim.order_sides) <= held | children.keys()
+
+    def test_departed_background_ids_read_zero(self, session):
+        sim, _ = session
+        ways = {"fill": set(), "expire": set(), "cancel": set(), "market": set()}
+        for book in sim.books.values():
+            for line in book.log.lines:
+                event, _, oid, _, _, _, flags = line.split("|")
+                if not oid.startswith("bg-"):
+                    continue
+                if event == "fill":
+                    ways["fill"].add(flags.split(",")[0].removeprefix("maker="))
+                elif event == "expire":
+                    ways["expire"].add(oid)
+                elif event == "cancel" and flags == "why=user":
+                    ways["cancel"].add(oid)
+                elif event == "submit" and "kind=market" in flags:
+                    ways["market"].add(oid)
+            gone = {oid for ids in ways.values() for oid in ids} - book.order_ids()
+            assert all(book.ledger(oid) == (0, 0, 0) for oid in gone)
+        for way, ids in ways.items():
+            assert ids, f"no background order left the book by {way}"
+
+    def test_children_keep_their_totals(self, session):
+        sim, children = session
+        for oid, vid in children.items():
+            book = sim.books[vid]
+            filled = sum(f.quantity for f in book.fills_since(0) if f.taker_order_id == oid)
+            assert filled > 0
+            assert book.ledger(oid) == (400, filled, 400 - filled)
