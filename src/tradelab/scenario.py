@@ -31,7 +31,7 @@ from tradelab.orderbook import Side
 from tradelab.tactics import RouteWeights, SlicePolicy
 from tradelab.venue_sim import MarketParams, VenueConfig, VolumeProfile, u_shape_profile
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"   # v2: the block-drawn background stream (venue_sim)
 
 
 class ScenarioError(ValueError):

@@ -33,7 +33,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from tradelab.orderbook import (
 )
 
 TRADING_DAYS_PER_YEAR = 250
+BLOCK_TICKS = 1_000   # the flow is drawn for ticks (k*BLOCK_TICKS, (k+1)*BLOCK_TICKS]
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,7 @@ class MarketSim:
         self._inflight: list[tuple[int, int, str, Order]] = []   # (arrival, seq, venue, order)
         self._dispatch_seq = 0
         self._bg_count = 0
-        self._bg_live: dict[str, list[str]] = {vid: [] for vid in self.venues}
-        self._bg_resting: dict[str, set[str]] = {vid: set() for vid in self.venues}
+        self._live = {vid: _LiveSet() for vid in self.venues}
         self._tick_std = params.per_tick_std_ticks
         venue_share = 1.0 / len(self.venues)
         self._mean_taker = [   # mean market-order size per bucket
@@ -210,6 +211,17 @@ class MarketSim:
                       1e-12))
             for z, (start, end) in zip(self.profile.fractions,
                                        self.profile.boundaries(params.session_ticks))]
+        # log(1 - p) of the geometric size law per bucket, p = 1 / mean:
+        # row 0 for limit (maker) orders, row 1 for market (taker) orders
+        mean = np.array(self._mean_taker)
+        with np.errstate(divide="ignore"):
+            self._log_q = np.log1p(-np.minimum(1.0, 1.0 / np.array(
+                [mean * params.maker_size_mult, mean])))
+        # the current block of drawn flow (see _draw_block)
+        self._steps: list[float] = []
+        self._counts: Optional[list[list[int]]] = None
+        self._cancels: Optional[list[list[list[float]]]] = None
+        self._orders: Iterator[tuple[bool, bool, int, int]] = iter(())
         self._seed_depth()
 
     # -- wiring ---------------------------------------------------------------
@@ -247,7 +259,10 @@ class MarketSim:
             raise ValueError("dt must be positive")
         for _ in range(dt):
             self.clock += 1
-            self._step_fundamental()
+            row = (self.clock - 1) % BLOCK_TICKS
+            if row == 0:
+                self._draw_block()
+            self.fundamental += self._steps[row]
             self._deliver_arrivals()
             for vid, book in self.books.items():
                 mark = book.fill_count()
@@ -256,36 +271,70 @@ class MarketSim:
                     self._forget(vid, expired)
                 if book.fill_count() != mark:
                     self._forget_filled(vid, mark)
-            self._background_flow()
+            if self._counts is not None:
+                self._background_flow(row)
 
     def run_session(self) -> None:
         self.advance(self.params.session_ticks - self.clock)
 
-    def _step_fundamental(self) -> None:
-        if self._tick_std > 0:
-            self.fundamental += self.rng.normal(0.0, self._tick_std)
+    def _draw_block(self) -> None:
+        """Draw the flow of the next ``BLOCK_TICKS`` ticks, from the current one on.
+
+        In a fixed order: the fundamental's steps; each venue's Poisson
+        order count and cancel uniforms (hit, pick) per tick; then per order
+        its side, market flag, size uniform and quote offset. A size inverts
+        its uniform through the geometric law whose mean is the taker or
+        maker mean of the order's bucket.
+        """
+        p = self.params
+        rng = self.rng
+        venues = len(self.venues)
+        steps = (rng.normal(0.0, self._tick_std, BLOCK_TICKS) if self._tick_std > 0
+                 else np.zeros(BLOCK_TICKS))
+        self._steps = steps.tolist()
+        if p.intensity <= 0:
+            self._counts = None
+            return
+        counts = rng.poisson(p.intensity, (BLOCK_TICKS, venues))
+        cancels = rng.random((BLOCK_TICKS, venues, 2)) if p.cancel_prob > 0 else None
+        n = int(counts.sum())
+        buy = rng.random(n) < 0.5
+        market = rng.random(n) < p.market_order_fraction
+        size_u = rng.random(n)
+        offsets = rng.integers(1, p.max_quote_offset + 1, n)
+        first_tick = self.clock - 1   # the tick bucket_of reads for this clock
+        ticks = np.repeat(np.arange(first_tick, first_tick + BLOCK_TICKS), counts.sum(axis=1))
+        edges = _bucket_edges(len(self.profile), p.session_ticks)
+        buckets = np.clip(np.searchsorted(edges, ticks, side="right") - 1,
+                          0, len(self.profile) - 1)
+        log_q = self._log_q[market.astype(int), buckets]
+        sizes = np.maximum(1, np.ceil(np.log1p(-size_u) / log_q)).astype(np.int64)
+        self._counts = counts.tolist()
+        self._cancels = None if cancels is None else cancels.tolist()
+        # signed offsets: a buy quotes below the fundamental, a sell above
+        self._orders = zip(buy.tolist(), market.tolist(), sizes.tolist(),
+                           np.where(buy, -offsets, offsets).tolist())
 
     def _deliver_arrivals(self) -> None:
         while self._inflight and self._inflight[0][0] <= self.clock:
             _, _, vid, order = heapq.heappop(self._inflight)
+            self.order_sides[order.order_id] = order.side
             self._submit(vid, order)
 
     def _submit(self, venue_id: str, order: Order) -> None:
         book = self.books[venue_id]
         mark = book.fill_count()
-        self.order_sides[order.order_id] = order.side
         book.submit(order, clock=self.clock)
         if book.fill_count() != mark:
             self._forget_filled(venue_id, mark)
 
     def _submit_background(self, venue_id: str, order: Order) -> None:
-        """Submit a background order; keep its state only while it rests."""
+        """Submit a background order; keep state for it only while it rests."""
         self._submit(venue_id, order)
         oid = order.order_id
-        if self.books[venue_id].release(oid):
-            del self.order_sides[oid]
-        else:
-            self._bg_resting[venue_id].add(oid)
+        if not self.books[venue_id].release(oid):
+            self._live[venue_id].add(oid)
+            self.order_sides[oid] = order.side
 
     def _forget_filled(self, venue_id: str, mark: int) -> None:
         """Forget the background makers that the book's fills since ``mark`` filled out."""
@@ -296,71 +345,94 @@ class MarketSim:
         """Drop every per-order record of the resting background orders among
         ``order_ids`` that have left the book: filled, expired or cancelled."""
         book = self.books[venue_id]
-        resting = self._bg_resting[venue_id]
+        live = self._live[venue_id]
         for oid in order_ids:
-            if oid in resting and book.release(oid):
-                resting.remove(oid)
+            if oid in live and book.release(oid):
+                live.remove(oid)
                 del self.order_sides[oid]
 
-    def _background_flow(self) -> None:
+    def _background_flow(self, row: int) -> None:
+        """Submit this tick's drawn orders and cancel, venue by venue."""
         p = self.params
-        if p.intensity <= 0:
+        counts = self._counts[row]
+        cancels = None if self._cancels is None else self._cancels[row]
+        anchor = round(self.fundamental)
+        expiry = self.clock + p.limit_ttl
+        for v, (vid, book) in enumerate(self.books.items()):
+            for buy, market, qty, offset in islice(self._orders, counts[v]):
+                self._bg_count += 1
+                oid = f"bg-{vid}-{self._bg_count}"
+                side = Side.BUY if buy else Side.SELL
+                if market:
+                    if (book.best_ask() if buy else book.best_bid()) is None:
+                        continue
+                    order = Order(oid, side, OrderKind.MARKET, qty)
+                else:
+                    order = Order(oid, side, OrderKind.LIMIT, qty,
+                                  limit_price=max(1, anchor + offset),
+                                  tif=Tif.GTD, tif_time=expiry)
+                self._submit_background(vid, order)
+            if cancels is not None:
+                hit, pick = cancels[v]
+                if hit < p.cancel_prob:
+                    self._cancel_one_background(vid, pick)
+
+    def _cancel_one_background(self, venue_id: str, u: float) -> None:
+        """Cancel the live background order at position ``int(u * len)``."""
+        live = self._live[venue_id]
+        if not live:
             return
-        mean_taker = self._mean_taker[self.profile.bucket_of(self.clock - 1, p.session_ticks)]
-        for vid in self.venues:
-            n = int(self.rng.poisson(p.intensity))
-            for _ in range(n):
-                self._one_background_order(vid, mean_taker)
-            if p.cancel_prob > 0 and self.rng.random() < p.cancel_prob:
-                self._cancel_one_background(vid)
-
-    def _one_background_order(self, venue_id: str, mean_taker: float) -> None:
-        p = self.params
-        rng = self.rng
-        self._bg_count += 1
-        oid = f"bg-{venue_id}-{self._bg_count}"
-        side = Side.BUY if rng.integers(0, 2) == 0 else Side.SELL
-        is_market = rng.random() < p.market_order_fraction
-        mean = mean_taker if is_market else mean_taker * p.maker_size_mult
-        qty = int(rng.geometric(min(1.0, 1.0 / mean)))
-        if is_market:
-            book = self.books[venue_id]
-            opposite_best = book.best_ask() if side is Side.BUY else book.best_bid()
-            if opposite_best is None:
-                return
-            order = Order(oid, side, OrderKind.MARKET, qty)
-        else:
-            offset = int(rng.integers(1, p.max_quote_offset + 1))
-            anchor = int(round(self.fundamental))
-            price = anchor - offset if side is Side.BUY else anchor + offset
-            price = max(1, price)
-            order = Order(oid, side, OrderKind.LIMIT, qty, limit_price=price,
-                          tif=Tif.GTD, tif_time=self.clock + p.limit_ttl)
-            self._bg_live[venue_id].append(oid)
-        self._submit_background(venue_id, order)
-
-    def _cancel_one_background(self, venue_id: str) -> None:
-        live = self._bg_live[venue_id]
+        oid = live.pick(u)
         book = self.books[venue_id]
-        while live:
-            idx = int(self.rng.integers(0, len(live)))
-            oid = live.pop(idx)
-            if book.remaining(oid) > 0:
-                book.cancel(oid)
-                self._forget(venue_id, [oid])
-                return
+        if book.remaining(oid) > 0:
+            book.cancel(oid)
+        self._forget(venue_id, [oid])
 
     def _seed_depth(self) -> None:
         """Initial two-sided resting depth so early market orders have a book."""
         p = self.params
         anchor = p.initial_price_ticks
         mean = self._mean_taker[0] * p.maker_size_mult
+        sizes = iter(self.rng.geometric(min(1.0, 1.0 / (mean * 3)),
+                                        2 * p.max_quote_offset * len(self.venues)).tolist())
         for vid in self.venues:
             for i in range(1, p.max_quote_offset + 1):
                 for side, price in ((Side.BUY, anchor - i), (Side.SELL, anchor + i)):
                     self._bg_count += 1
-                    oid = f"bg-{vid}-{self._bg_count}"
-                    qty = int(self.rng.geometric(min(1.0, 1.0 / (mean * 3))))
-                    self._submit_background(vid, Order(oid, side, OrderKind.LIMIT, qty,
+                    self._submit_background(vid, Order(f"bg-{vid}-{self._bg_count}", side,
+                                                       OrderKind.LIMIT, next(sizes),
                                                        limit_price=max(1, price)))
-                    self._bg_live[vid].append(oid)
+
+
+class _LiveSet:
+    """One venue's resting background ids: O(1) add, remove and uniform pick.
+
+    A swap-remove list of the ids plus each id's position in it.
+    """
+
+    __slots__ = ("ids", "pos")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.pos: dict[str, int] = {}
+
+    def __contains__(self, order_id: str) -> bool:
+        return order_id in self.pos
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add(self, order_id: str) -> None:
+        self.pos[order_id] = len(self.ids)
+        self.ids.append(order_id)
+
+    def remove(self, order_id: str) -> None:
+        i = self.pos.pop(order_id)
+        last = self.ids.pop()
+        if last != order_id:
+            self.ids[i] = last
+            self.pos[last] = i
+
+    def pick(self, u: float) -> str:
+        """The id at position ``int(u * len)`` for a uniform ``u`` in [0, 1)."""
+        return self.ids[int(u * len(self.ids))]

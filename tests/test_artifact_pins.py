@@ -20,24 +20,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
-    "twap_quarter_day/cost_surface.txt": "6213364302e6795f615b32592ff2fbc804082cbf374e603fc425f09b96c44b1d",
-    "twap_quarter_day/events_LIT1.log": "893ac167a06a05a7f8479c689074700ae1bfade1b8941cfa8fecdf867943ab05",
-    "twap_quarter_day/fills.log": "a78997fb0d4218deff3f16baf49742444d8eb2739fe7df1cbb92e8496f5ed395",
-    "twap_quarter_day/frontier_arrival.txt": "e47ef13953a0acd35a5a162f84b23cd80f409574b11407b07180d01d45d1333f",
-    "twap_quarter_day/frontier_previous_close.txt": "139196de08a6cb24c410f51f6c25785281389f35b3981a5fffeeccadd45ab840",
-    "twap_quarter_day/report.json": "4072418b9b37a51a39061861fc978ff7e05242ae4ab6e2cd3e9cd514db131fcb",
-    "twap_quarter_day/scenario_echo.ini": "03d73a68b5388ca77894ec7b01c858a8671b7f53533c3c5b7c8a717b67b9361b",
-    "twap_quarter_day/tca_report.txt": "99e574823b1c9fe0814cccbf62a3881a27e2be11562d8ea6c53963f086526e34",
-    "pov_quarter_day/events_LIT1.log": "879aeede6474cd87854aa506b54e46eaa3cb8c03fe8bd7691385bfc7a117bd87",
-    "pov_quarter_day/fills.log": "c0c8fec1e5878898ea2cc14d187950278d074f7544b6469828f1d674d02904cf",
-    "pov_quarter_day/report.csv": "ea0f75161eef302fd0ba0ba406658ada9c8776848636e846240e731d8e1dc8fd",
-    "pov_quarter_day/scenario_echo.ini": "dc5b2274b69f8a30e679b173cefab4dfdcb692e710a69778de588bcf474d2388",
-    "pov_quarter_day/tca_report.txt": "f5b4581428b884afdcf6b202cc3d7aece81259a948e3be96b40b8839a237c8cc",
-    "frontier_only/cost_surface.txt": "4f7125f1ec5121be864b9779da14f31c23b0e2bf568e85a59f7a55a3eaf81302",
-    "frontier_only/frontier_arrival.txt": "f403f3020406fc5ed5e7aef0360a7ab2bd5728009c408da24ff31b8e92ec2e41",
-    "frontier_only/frontier_previous_close.txt": "afdd8ffe170987153822cd1f8f81659831f147112ab3a64fcaa9e86c3049ebb3",
-    "frontier_only/report.csv": "8532d502120f691f5053ee813069895a74a0dd53385a459b6234a0863841475a",
-    "frontier_only/scenario_echo.ini": "f1fe8aed54fcd8385f1be56f8e8564cbcdfc13b39765e0386a4ca35caaee27a2",
+          "twap_quarter_day/cost_surface.txt": "8ea4987cc31d4247d362746be2f596f1445e4ebe27be59beaaf84f90b05152a3",
+          "twap_quarter_day/events_LIT1.log": "7f2874bf5d3bece3c8a807ee2d47ebb004b078dec420454ba5ab8d22d5d18785",
+          "twap_quarter_day/fills.log": "fe91b3913dfd919ea6a9441e66a0aa7fc9bad6a111cd8da1aaa640a5b4f06e19",
+          "twap_quarter_day/frontier_arrival.txt": "59a9bfd0214b5d405c48435c560b8dadca50eb17d8c565c3b520dccdec755c05",
+          "twap_quarter_day/frontier_previous_close.txt": "ddc6c088cba237b88ad72d1f7d6a8b30fd880220bf9a2b92773955e9880faf4a",
+          "twap_quarter_day/report.json": "fb758b00d04e9f33268b96915602cb6b5c2d653bf6e459e4edc183abf37cc29f",
+          "twap_quarter_day/scenario_echo.ini": "139fb23f4a2d8993e6c7fceba6773324174e0db4eb34f5a30de4a35f80ed2e23",
+          "twap_quarter_day/tca_report.txt": "b5f067752bdedf45f07c4c8ff3408101968c44e9ac3c35d42c30a37b49fe6f2e",
+          "pov_quarter_day/events_LIT1.log": "9f64c97b36d488e8226b16c65ac14538121df0118a5cf1fb70c06096e6d2a0f4",
+          "pov_quarter_day/fills.log": "4a464fed067751eac7e5f7cfd7738c0270f852107cfdf7f72be7d323a0c248f0",
+          "pov_quarter_day/report.csv": "930fc6c3835b93b96ae8abc6a52f86f6be358fdd314052429581557e8b54f3bb",
+          "pov_quarter_day/scenario_echo.ini": "a05f3bf3dae1095139c571059a4e861463e136f0fcf981ea62e3f73d5f42e539",
+          "pov_quarter_day/tca_report.txt": "7a86d24c4d3657d52b5465804f88b5a94dd98de19cd89cce1c68d653f4f5a93c",
+          "frontier_only/cost_surface.txt": "3cb15a08f7b10336d9fc236272b18da944632bba7f5d7480928a17f59b71aff3",
+          "frontier_only/frontier_arrival.txt": "ddef9143c106497d15acf0fb50b9d4bb27e94d5ffa8acb431215f5bb54f2dae9",
+          "frontier_only/frontier_previous_close.txt": "73b89bdef13dc35ae114db16edf3cba6b212f552cc0a3a40c78c44bab89f72f8",
+          "frontier_only/report.csv": "519d302eb5f8c17ca5847f82afa22ce9531c54afa5235590996525281af46e5d",
+          "frontier_only/scenario_echo.ini": "4823f5785c6903565eb4af3ba80c5e5b0793d5d35f7600c97d9b8c546587db61",
 }
 
 

@@ -96,7 +96,7 @@ class TestRun:
             path = out / name
             assert path.exists(), name
             first = path.read_text().splitlines()[0]
-            assert first.startswith("# tradelab-artifact v1 scenario=")
+            assert first.startswith("# tradelab-artifact v2 scenario=")
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = small_scenario(tmp_path)

@@ -257,6 +257,13 @@ class TestPerOrderState:
             assert set(book._ledger) <= live | children.keys()
         assert set(sim.order_sides) <= held | children.keys()
 
+    def test_live_set_is_the_background_ids_the_books_hold(self, session):
+        sim, _ = session
+        for vid, book in sim.books.items():
+            live = sim._live[vid]
+            assert sorted(live.ids) == sorted(o for o in book.order_ids() if o.startswith("bg-"))
+            assert all(live.ids[i] == oid for oid, i in live.pos.items())
+
     def test_departed_background_ids_read_zero(self, session):
         sim, _ = session
         ways = {"fill": set(), "expire": set(), "cancel": set(), "market": set()}
@@ -285,3 +292,69 @@ class TestPerOrderState:
             filled = sum(f.quantity for f in book.fills_since(0) if f.taker_order_id == oid)
             assert filled > 0
             assert book.ledger(oid) == (400, filled, 400 - filled)
+
+
+class TestStreamStatistics:
+    """The drawn flow matches ``MarketParams`` on fixed seeds.
+
+    One venue at intensity 4 over 5,850 ticks: about 23,000 background
+    orders. With zero volatility the fundamental stays at the initial price,
+    so a limit price gives its quote offset back exactly. Each tolerance is
+    at least three standard errors of its statistic.
+    """
+
+    @pytest.fixture(scope="class", params=[1_000_000, 20_000], ids=["adv1m", "adv20k"])
+    def flow(self, request):
+        p = params(seed=21, adv=request.param, intensity=4.0, volatility=0.0, cancel_prob=0.1)
+        sim = MarketSim(p, profile=u_shape_profile(13))
+        sim.run_session()
+        submits, cancels = [], 0
+        for line in sim.book().log.lines:
+            event, clock, oid, _, price, qty, flags = line.split("|")
+            if event == "submit" and clock != "0":    # after the seeded depth
+                submits.append((int(clock), "kind=market" in flags, int(qty), price))
+            cancels += event == "cancel" and flags == "why=user"
+        return sim, submits, cancels
+
+    @staticmethod
+    def expected_mean_taker(p, profile):
+        """Mean market-order size per bucket: z_j * ADV over the bucket's taker arrivals."""
+        return [max(1.0, z * p.adv / ((end - start) * p.intensity * p.market_order_fraction))
+                for z, (start, end) in zip(profile.fractions,
+                                           profile.boundaries(p.session_ticks))]
+
+    def test_market_order_fraction(self, flow):
+        sim, submits, _ = flow
+        share = sum(market for _, market, _, _ in submits) / len(submits)
+        assert share == pytest.approx(sim.params.market_order_fraction, abs=0.015)
+
+    def test_quote_offsets_are_uniform_on_one_to_max(self, flow):
+        sim, submits, _ = flow
+        anchor = sim.params.initial_price_ticks
+        offsets = [abs(int(price) - anchor) for _, market, _, price in submits if not market]
+        top = sim.params.max_quote_offset
+        assert set(offsets) == set(range(1, top + 1))
+        for k in range(1, top + 1):
+            assert offsets.count(k) / len(offsets) == pytest.approx(1 / top, abs=0.02)
+
+    @pytest.mark.parametrize("market", [True, False], ids=["taker", "maker"])
+    def test_mean_size_per_bucket(self, flow, market):
+        sim, submits, _ = flow
+        p, profile = sim.params, sim.profile
+        means = self.expected_mean_taker(p, profile)
+        mult = 1.0 if market else p.maker_size_mult
+        sizes = [[] for _ in means]
+        for clock, is_market, qty, _ in submits:
+            if is_market is market:
+                sizes[profile.bucket_of(clock - 1, p.session_ticks)].append(qty)
+        assert min(min(b) for b in sizes) >= 1
+        for j, (bucket, mean) in enumerate(zip(sizes, means)):
+            assert sum(bucket) / len(bucket) == pytest.approx(mean * mult, rel=0.2), j
+        # over the whole session, in units of each order's own bucket mean
+        ratio = sum(sum(b) / (m * mult) for b, m in zip(sizes, means)) / sum(map(len, sizes))
+        assert ratio == pytest.approx(1.0, abs=0.05)
+
+    def test_cancel_rate(self, flow):
+        sim, _, cancels = flow
+        expected = sim.params.cancel_prob * sim.params.session_ticks
+        assert cancels == pytest.approx(expected, rel=0.15)
