@@ -432,18 +432,18 @@ class OrderBook:
             return "day order without a configured session close"
         return None
 
+    def _convert_protection(self, order: Order) -> Order:
+        offset = order.protection_offset or 0
+        limit = (self.last_trade_price + offset if order.side is Side.BUY
+                 else self.last_trade_price - offset)
+        return order._replace(kind=OrderKind.LIMIT, limit_price=limit)
+
     def _effective_limit(self, order: Order) -> Optional[int]:
         if order.limit_price is None:
             return None
         if order.side is Side.BUY:
             return order.limit_price + order.discretion_offset
         return order.limit_price - order.discretion_offset
-
-    def _convert_protection(self, order: Order) -> Order:
-        offset = order.protection_offset or 0
-        limit = (self.last_trade_price + offset if order.side is Side.BUY
-                 else self.last_trade_price - offset)
-        return order._replace(kind=OrderKind.LIMIT, limit_price=limit)
 
     # -- matching -----------------------------------------------------------
 

@@ -13,17 +13,23 @@ Background limit orders carry a TTL (GTD) so books stay bounded; a small
 random-cancel churn exercises the cancel path.
 
 ``advance`` and ``run_session`` return nothing: the record of a run is each
-book's fills and event log. A background order's per-order state (its
-ledger, side and live-set slot) is dropped once it leaves the book, so that
-state follows the live book, not every order ever sent. A background order costs about
-43 µs all in on a 2-core Xeon (POV quarter day, one venue, intensity 1), down
-from 59 µs before the taker sizes were computed per bucket and the log flags
-preformatted.
+book's fills and event log.
 
-A scenario run hands ``MarketSim`` file-backed logs, so the lines stream to
-disk as the session runs. On one full-day session over three venues (the
-benchmark's ``heavy_day``), that and slotted ``Fill`` records cut memory
-growth from 83 MB to 39 MB per run.
+Stream v2, named by the ``v2`` in every artifact header: the flow is drawn
+in numpy blocks of ``BLOCK_TICKS`` ticks whose edges sit at fixed clock
+values, so a session depends on the seed and the clock alone, not on how
+``advance`` is called. Stream v1 drew 3-4 scalar values per order and 2-3
+per tick, so one seed gives different sessions under the two versions.
+
+Per-order state follows the live book: a background order's ledger, side
+and live-set slot are dropped when it leaves the book (filled, expired or
+cancelled); dispatched orders keep theirs. A scenario run hands
+``MarketSim`` file-backed logs, so the log lines stream to disk as the
+session runs. On one full-day session over three venues (the benchmark's
+``heavy_day``) memory grows by 26 MB per run (38 MB while every order's
+state was kept, 83 MB before the logs streamed), and the simulator's own
+time per background order, outside the book, is 13 µs (19-21 µs before the
+block draws; 2-core Xeon, ``perfbench/run.py`` reference seconds).
 """
 
 from __future__ import annotations
@@ -265,6 +271,7 @@ class MarketSim:
             self.fundamental += self._steps[row]
             self._deliver_arrivals()
             for vid, book in self.books.items():
+                # besides expiring, a due GAT order or a settled stop can fill makers
                 mark = book.fill_count()
                 expired = book.expire(self.clock)
                 if expired:
