@@ -7,6 +7,7 @@ Verbs:
     tradelab figures <run-dir>          plot data from an existing run dir
 
 Exit codes: 0 ok, 1 validation error, 2 runtime error, 3 fixture mismatch.
+``tradelab --debug <verb>`` re-raises the error with its traceback instead.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ EXIT_FIXTURE_MISMATCH = 3
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tradelab",
                                      description="trade-execution laboratory")
+    parser.add_argument("--debug", action="store_true",
+                        help="re-raise an error with its traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario end to end")
@@ -88,9 +91,13 @@ def main(argv=None) -> int:
             return EXIT_OK
         return EXIT_VALIDATION
     except ScenarioError as exc:
+        if args.debug:
+            raise
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:   # noqa: BLE001 - CLI boundary
+        if args.debug:
+            raise
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

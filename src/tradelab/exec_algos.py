@@ -273,10 +273,11 @@ class ExecutionTrace:
 class _ChildTracker:
     """Names child orders, harvests their fills, and tracks exposure.
 
-    ``harvest`` reads each venue's book through its own cursor. ``volume``
-    and ``other_volume`` accumulate all and non-own traded volume as fills
-    are harvested, so POV sizing and overfill guards see a gap-free view of
-    the stream.
+    ``harvest`` reads each venue's book through its own cursor and drops
+    the fills it has read, so a book holds only the fills since the last
+    harvest. ``volume`` and ``other_volume`` accumulate all and non-own
+    traded volume as fills are harvested, so POV sizing and overfill guards
+    see a gap-free view of the stream.
     """
 
     def __init__(self, sim: MarketSim, venue_id: str):
@@ -290,7 +291,7 @@ class _ChildTracker:
         self.slice_rng: Optional[np.random.Generator] = None
         self.count_side: Optional[Side] = None   # POV one-sided volume measurement
         self._count = 0
-        self._cursors = {vid: 0 for vid in sim.books}
+        self._cursors = {vid: book.fill_count() for vid, book in sim.books.items()}
 
     def next_id(self) -> str:
         self._count += 1
@@ -311,6 +312,7 @@ class _ChildTracker:
         for vid, book in self.sim.books.items():
             fills = book.fills_since(self._cursors[vid])
             self._cursors[vid] += len(fills)
+            book.drop_fills(self._cursors[vid])
             for f in fills:
                 self.volume += f.quantity
                 if f.taker_order_id in ids:

@@ -257,6 +257,7 @@ class OrderBook:
         self._max_discretion: dict[Side, int] = {Side.BUY: 0, Side.SELL: 0}
         self._seq = 0
         self._fills: list[Fill] = []
+        self._fill_base = 0   # session index of _fills[0]
 
     # -- small accessors ----------------------------------------------------
 
@@ -288,10 +289,27 @@ class OrderBook:
         return (entry.submitted, entry.filled, entry.cancelled)
 
     def fill_count(self) -> int:
-        return len(self._fills)
+        """Fills of the session so far, dropped ones included."""
+        return self._fill_base + len(self._fills)
 
     def fills_since(self, index: int) -> list[Fill]:
-        return self._fills[index:]
+        """The fills from session index ``index`` on.
+
+        An index below the first held one (see ``drop_fills``) raises
+        ``ValueError``, never a partial history. The algorithm runner drops
+        what it harvests: on the benchmark's ``heavy_day`` the full record
+        held 79k fills and, with their ids, 13 of the 16 MB traced at the end.
+        """
+        if index < self._fill_base:
+            raise ValueError(f"fill {index} was dropped; the first held is {self._fill_base}")
+        return self._fills[index - self._fill_base:]
+
+    def drop_fills(self, before: int) -> None:
+        """Discard the fills whose session index is below ``before``."""
+        before = min(before, self.fill_count())
+        if before > self._fill_base:
+            del self._fills[:before - self._fill_base]
+            self._fill_base = before
 
     def order_ids(self) -> set[str]:
         return set(self._index)

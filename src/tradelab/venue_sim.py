@@ -13,7 +13,8 @@ Background limit orders carry a TTL (GTD) so books stay bounded; a small
 random-cancel churn exercises the cancel path.
 
 ``advance`` and ``run_session`` return nothing: the record of a run is each
-book's fills and event log.
+book's fills and event log. A book keeps every fill unless its owner drops
+them; the algorithm runner drops each fill once it has harvested it.
 
 Stream v2, named by the ``v2`` in every artifact header: the flow is drawn
 in numpy blocks of ``BLOCK_TICKS`` ticks whose edges sit at fixed clock
@@ -26,10 +27,11 @@ and live-set slot are dropped when it leaves the book (filled, expired or
 cancelled); dispatched orders keep theirs. A scenario run hands
 ``MarketSim`` file-backed logs, so the log lines stream to disk as the
 session runs. On one full-day session over three venues (the benchmark's
-``heavy_day``) memory grows by 26 MB per run (38 MB while every order's
-state was kept, 83 MB before the logs streamed), and the simulator's own
-time per background order, outside the book, is 13 µs (19-21 µs before the
-block draws; 2-core Xeon, ``perfbench/run.py`` reference seconds).
+``heavy_day``) memory grows by 16 MB per run (28 MB while the books kept
+every fill, 38 MB with every order's state, 83 MB with in-memory logs). The
+simulator's own time per background order, outside the book, is 13 µs
+(19-21 µs before the block draws; 2-core Xeon, ``perfbench/run.py``
+reference seconds).
 """
 
 from __future__ import annotations
@@ -157,6 +159,17 @@ class MarketParams:
             raise ValueError("tick_size must be positive")
         if self.intensity < 0:
             raise ValueError("intensity must be >= 0")
+        # the order size means divide by the market fraction
+        if not 0 < self.market_order_fraction <= 1:
+            raise ValueError("market_order_fraction must be in (0, 1]")
+        if self.maker_size_mult <= 0:
+            raise ValueError("maker_size_mult must be positive")
+        if self.limit_ttl < 1:
+            raise ValueError("limit_ttl must be >= 1")
+        if self.max_quote_offset < 1:
+            raise ValueError("max_quote_offset must be >= 1")
+        if not 0 <= self.cancel_prob <= 1:
+            raise ValueError("cancel_prob must be in [0, 1]")
 
     @property
     def initial_price_ticks(self) -> int:

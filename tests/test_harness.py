@@ -7,7 +7,7 @@ import pytest
 
 from tradelab import cli, harness
 from tradelab.exec_algos import run_algorithm
-from tradelab.scenario import load_scenario
+from tradelab.scenario import ScenarioError, load_scenario
 from tradelab.tca import TCAInputs, expanded_tc
 from tradelab.venue_sim import MarketSim
 
@@ -237,6 +237,26 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\nname = missing-seed\n")
         assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text, out_is_file, error, code, printed", [
+        ("[scenario]\nname = missing-seed\n", False, ScenarioError, cli.EXIT_VALIDATION,
+         "validation error: "),
+        (SMALL_RUN, True, FileExistsError, cli.EXIT_RUNTIME, "runtime error: "),
+    ], ids=["validation", "runtime"])
+    def test_debug_reraises_with_traceback(self, tmp_path, capsys, text, out_is_file,
+                                           error, code, printed):
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        if out_is_file:
+            out.write_text("not a directory")
+        argv = ["run", str(path), "--out", str(out)]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith(printed)
+        with pytest.raises(error) as exc:
+            cli.main(["--debug", *argv])
+        assert Path(exc.traceback[-1].path).name != "cli.py"   # raised where it began
+        assert capsys.readouterr().err == ""
 
     def test_replay_fixtures_ok(self, capsys):
         assert cli.main(["replay-fixtures"]) == cli.EXIT_OK

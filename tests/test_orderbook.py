@@ -432,6 +432,30 @@ class TestCancel:
             book.cancel("NOPE")
 
 
+class TestFillRecord:
+    def test_dropped_prefix_keeps_session_indices(self):
+        book = OrderBook()
+        for n in range(4):
+            book.submit(limit(f"S{n}", Side.SELL, 51, 100), clock=n)
+        book.submit(market("B", Side.BUY, 400), clock=5)
+        fills = book.fills_since(0)
+        assert [f.maker_order_id for f in fills] == ["S0", "S1", "S2", "S3"]
+        book.drop_fills(2)
+        assert book.fill_count() == 4
+        assert book.fills_since(2) == fills[2:]
+        assert book.fills_since(9) == []
+        with pytest.raises(ValueError, match="fill 1 was dropped; the first held is 2"):
+            book.fills_since(1)
+        book.drop_fills(1)             # below the first held: nothing changes
+        assert book.fills_since(2) == fills[2:]
+        book.drop_fills(9)             # past the end: drops what is held, no more
+        assert book.fill_count() == 4 and book.fills_since(4) == []
+        book.submit(limit("S4", Side.SELL, 51, 100), clock=6)
+        book.submit(market("B2", Side.BUY, 100), clock=7)
+        assert book.fill_count() == 5
+        assert [f.maker_order_id for f in book.fills_since(4)] == ["S4"]
+
+
 class TestRejections:
     def test_market_into_empty_book(self):
         book = OrderBook()

@@ -246,6 +246,13 @@ class TestRejectedThroughCli:
         ("optimizer", "alpha_min", "2.0"),   # above the default alpha_max of 1.0
         ("market", "tick_size", "0"),
         ("market", "intensity", "-1"),
+        ("market", "market_order_fraction", "0"),
+        ("market", "market_order_fraction", "1.5"),
+        ("market", "maker_size_mult", "0"),
+        ("market", "limit_ttl", "-5"),
+        ("market", "max_quote_offset", "0"),
+        ("market", "cancel_prob", "2.0"),
+        ("market", "cancel_prob", "-0.1"),
     ])
     def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
         path = with_field(tmp_path, section, key, value)
