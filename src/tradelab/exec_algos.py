@@ -387,8 +387,8 @@ def _choose_venue(parent: ParentOrder, sim: MarketSim, tracker: _ChildTracker,
     weights = tracker.wiring.route_weights
     if weights is None or len(sim.venues) < 2:
         return default
-    vbook = tactics.aggregate([(cfg, sim.books[vid])
-                               for vid, cfg in sim.venues.items()])
+    vbook = tactics.aggregate([(cfg, sim.books[vid]) for vid, cfg in sim.venues.items()],
+                              depth=1)   # route reads only each venue's top of book
     cands = tactics.candidates_from_virtual(vbook, parent.side)
     if not cands:
         return default

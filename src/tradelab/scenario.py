@@ -400,6 +400,12 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
 
     if parser.has_section("tactics"):
         v = read("tactics")
+        if scenario.algo is None:
+            _reject("tactics", v, parser, "no [algo] section")
+        elif scenario.algo.type.startswith("pov"):
+            _reject("tactics", (f.key for f in _SLICE), parser, "POV [algo].type never slices")
+        if len(scenario.venues) < 2:
+            _reject("tactics", (f.key for f in _ROUTE), parser, "fewer than two venues to route")
         if v["slice_display"] is None:
             _reject("tactics", ("slice_jitter", "slice_seed"), parser,
                     "no [tactics].slice_display")

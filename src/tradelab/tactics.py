@@ -275,18 +275,21 @@ class VirtualBook:
 
 
 def aggregate(venues: Sequence[tuple[VenueConfig, OrderBook]],
-              exec_probability: Optional[dict] = None) -> VirtualBook:
+              exec_probability: Optional[dict] = None,
+              depth: Optional[int] = None) -> VirtualBook:
     """Merge public snapshots into one consolidated ladder.
 
     Entries are tagged with their venue, taker fee and latency; ordering is
     price priority first, then execution probability (descending), then
     venue id. Hidden depth never appears (public visibility only).
+    ``depth`` keeps each venue's best ``depth`` levels with visible orders per
+    side (``None``: all); ``depth=1``, its top of book, is all ``route`` reads.
     """
     probs = exec_probability or {}
     bids: list[VirtualEntry] = []
     asks: list[VirtualEntry] = []
     for config, book in venues:
-        snap = book.snapshot(visibility="public")
+        snap = book.snapshot(depth=depth, visibility="public")
         for lvl in snap.bids:
             if lvl.total > 0:
                 bids.append(VirtualEntry(config.venue_id, lvl.price, lvl.total,

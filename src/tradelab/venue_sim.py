@@ -28,9 +28,10 @@ cancelled); dispatched orders keep theirs. A scenario run hands
 ``MarketSim`` file-backed logs, so the log lines stream to disk as the
 session runs. On one full-day session over three venues (the benchmark's
 ``heavy_day``) memory grows by 16 MB per run (28 MB while the books kept
-every fill, 38 MB with every order's state, 83 MB with in-memory logs). The
-simulator's own time per background order, outside the book, is 13 µs
-(19-21 µs before the block draws; 2-core Xeon, ``perfbench/run.py``
+every fill, 38 MB with every order's state, 83 MB with in-memory logs), and
+a run takes 2.5 s (3.0 s before the book's one-pass submit). The simulator's
+own time per background order, outside the book, is 10.9 µs traced (11.5 µs
+before, 19-21 µs before the block draws; 2-core Xeon, ``perfbench/run.py``
 reference seconds).
 """
 
@@ -339,20 +340,21 @@ class MarketSim:
         while self._inflight and self._inflight[0][0] <= self.clock:
             _, _, vid, order = heapq.heappop(self._inflight)
             self.order_sides[order.order_id] = order.side
-            self._submit(vid, order)
+            book = self.books[vid]
+            mark = book.fill_count()
+            book.submit(order, clock=self.clock)
+            if book.fill_count() != mark:
+                self._forget_filled(vid, mark)
 
-    def _submit(self, venue_id: str, order: Order) -> None:
+    def _submit_background(self, venue_id: str, order: Order) -> None:
+        """Submit a background order; keep state for it only while it rests."""
         book = self.books[venue_id]
         mark = book.fill_count()
         book.submit(order, clock=self.clock)
         if book.fill_count() != mark:
             self._forget_filled(venue_id, mark)
-
-    def _submit_background(self, venue_id: str, order: Order) -> None:
-        """Submit a background order; keep state for it only while it rests."""
-        self._submit(venue_id, order)
         oid = order.order_id
-        if not self.books[venue_id].release(oid):
+        if not book.release(oid):
             self._live[venue_id].add(oid)
             self.order_sides[oid] = order.side
 

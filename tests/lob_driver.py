@@ -7,6 +7,7 @@ fresh book, asserting after every operation:
   * structural invariants (sorted levels, FIFO queues, no crossed visible book)
   * price-time priority of the produced fills, visible-before-hidden at a price
   * share conservation: submitted == filled + cancelled + remaining, per order
+  * a submit's returned fills lead the book's fill record of that submit
   * FOK atomicity (book state untouched by an unfillable FOK)
   * iceberg refills losing time priority
   * determinism: replaying the identical sequence reproduces fills and state
@@ -220,7 +221,13 @@ def _apply(book: OrderBook, op: tuple, orders) -> None:
         pre_map = _priority_map(book)
         pre_snap = (book.snapshot(visibility="omniscient")
                     if order.tif is Tif.FOK else None)
+        mark = book.fill_count()
         result = book.submit(order, clock=clock)
+        # the result's fills lead the book's record of the submit (stops and
+        # AONs it set off come after); an AON's result keeps only its own fills
+        if order.tif is not Tif.AON and \
+                book.fills_since(mark)[:len(result.fills)] != list(result.fills):
+            raise PropertyViolation(f"{order.order_id}: result fills differ from the book's")
         _check_fill_sequence(order, result.fills, pre_map, orders)
         _check_refill_priority(book, pre_map)
         if order.tif is Tif.FOK and result.disposition is Disposition.CANCELLED:

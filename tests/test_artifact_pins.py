@@ -1,4 +1,6 @@
-"""Pinned behaviour: SHA-256 of every artifact of the packaged scenarios.
+"""Pinned behaviour: SHA-256 of every artifact of the packaged scenarios,
+and of ``tests/inputs/routed_day.ini``, a sliced and routed run on three
+venues (no packaged scenario has more than one).
 
 A refactor that claims to change no behaviour must leave every digest here
 unchanged. A deliberate change of output re-pins them in the same commit;
@@ -18,6 +20,10 @@ from tradelab.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+# every pinned run: packaged scenarios and test inputs
+PINNED_RUNS = {name: SCENARIOS / f"{name}.ini"
+               for name in ("twap_quarter_day", "pov_quarter_day", "frontier_only")}
+PINNED_RUNS["routed_day"] = ROOT / "tests" / "inputs" / "routed_day.ini"
 
 PINNED = {
           "twap_quarter_day/cost_surface.txt": "8ea4987cc31d4247d362746be2f596f1445e4ebe27be59beaaf84f90b05152a3",
@@ -38,17 +44,27 @@ PINNED = {
           "frontier_only/frontier_previous_close.txt": "73b89bdef13dc35ae114db16edf3cba6b212f552cc0a3a40c78c44bab89f72f8",
           "frontier_only/report.csv": "519d302eb5f8c17ca5847f82afa22ce9531c54afa5235590996525281af46e5d",
           "frontier_only/scenario_echo.ini": "4823f5785c6903565eb4af3ba80c5e5b0793d5d35f7600c97d9b8c546587db61",
+          "routed_day/cost_surface.txt": "0c40c023458659910ce481b865ff45dc7ac0481e8b74fb0a825d59fdd1a62add",
+          "routed_day/events_DARK1.log": "893c9d523e1782a036fd780e6c2ae0936ce356c8d9cd2a21941a009b252aca36",
+          "routed_day/events_ECN1.log": "bd13280bb808ed97dbee1131f57386941fac5952e668c7036ba87910d50b53ff",
+          "routed_day/events_LIT1.log": "28f1b3432b216f06c06635c2deba3b74471a08eedb5284ab4dd882642669a70e",
+          "routed_day/fills.log": "74e26c230fba818c6db36efa7420be3b078123e700a5e398e36af31cb509f100",
+          "routed_day/frontier_arrival.txt": "87bc9c2b254c5e598d5ad3a85e4af050141d7c7825dafc57ddbf58fbe00eb609",
+          "routed_day/frontier_previous_close.txt": "97160140799199bfd3d89d437499b255ae2147cdf9120ca31694cb08d3559d0b",
+          "routed_day/report.json": "186656b4ec4b68a9aec2b9bb4f3336dad968a3d8ba9c96892a7d0a25f772b072",
+          "routed_day/scenario_echo.ini": "8626593053217bf3e8e4cfccdcc5ef7ef639081c4c3e2370a8872d0cd0057e02",
+          "routed_day/tca_report.txt": "8599dd1fae856ea9d2b8a2540e25321e13ff55450a46a8fe6ed469cded62bb07",
 }
 
 
 @pytest.fixture(scope="module")
 def packaged_artifacts(tmp_path_factory) -> dict[str, bytes]:
-    """Every artifact of one run of each packaged scenario, by "<scenario>/<file>"."""
+    """Every artifact of one run of each pinned scenario, by "<scenario>/<file>"."""
     root = tmp_path_factory.mktemp("packaged")
     got = {}
-    for name in ("twap_quarter_day", "pov_quarter_day", "frontier_only"):
+    for name, path in PINNED_RUNS.items():
         out = root / name
-        harness.run(load_scenario(SCENARIOS / f"{name}.ini"), out)
+        harness.run(load_scenario(path), out)
         got.update({f"{name}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
     return got
 
@@ -67,14 +83,18 @@ def test_no_artifact_prints_a_numpy_scalar(packaged_artifacts):
 
 
 def _cli_run(tmp_path: Path, hash_seed: str) -> dict[str, bytes]:
-    out = tmp_path / f"hashseed-{hash_seed}"
+    """Every artifact of a CLI run of each hash-seed scenario, by "<scenario>/<file>"."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")))))
-    subprocess.run([sys.executable, "-m", "tradelab.cli", "run",
-                    str(SCENARIOS / "twap_quarter_day.ini"), "--out", str(out)],
-                   env=env, check=True, capture_output=True, timeout=300)
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    got = {}
+    for name in ("twap_quarter_day", "routed_day"):
+        out = tmp_path / f"hashseed-{hash_seed}" / name
+        subprocess.run([sys.executable, "-m", "tradelab.cli", "run",
+                        str(PINNED_RUNS[name]), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        got.update({f"{name}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+    return got
 
 
 def test_cli_run_is_byte_identical_across_hash_seeds(tmp_path):

@@ -126,7 +126,8 @@ class TestLoad:
 class TestTactics:
     """The [tactics] section loads straight into the runner's wiring."""
 
-    HEAD = FULL + "\n[tactics]\n"
+    # routing needs a second venue to choose from
+    HEAD = FULL.replace("[parent]", "[venue:V2]\n\n[parent]") + "\n[tactics]\n"
 
     def test_full_section_parses_into_wiring(self, tmp_path):
         text = self.HEAD + ("slice_display = 500\nslice_jitter = 0.2\nslice_seed = 3\n"
@@ -253,11 +254,19 @@ class TestRejectedThroughCli:
         ("market", "max_quote_offset", "0"),
         ("market", "cancel_prob", "2.0"),
         ("market", "cancel_prob", "-0.1"),
+        ("tactics", "route_w_fee", "1.0"),   # one venue: nothing to route between
+        ("algo", "type", "pov"),             # POV never slices [tactics].slice_display
     ])
     def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
         path = with_field(tmp_path, section, key, value)
         assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
         assert f"[{section}].{key}" in capsys.readouterr().err
+
+    def test_tactics_without_algo_named(self, tmp_path, capsys):
+        # the one [tactics] rule that no single-field edit of EVERY reaches
+        text = EVERY.split("[algo]")[0] + "[tactics]" + EVERY.split("[tactics]")[1]
+        assert cli_run(write(tmp_path, text), tmp_path) == cli.EXIT_VALIDATION
+        assert "inert field [tactics].slice_display" in capsys.readouterr().err
 
     def test_unknown_section(self, tmp_path, capsys):
         path = write(tmp_path, EVERY + "\n[parnet]\nside = buy\n")

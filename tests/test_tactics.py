@@ -311,6 +311,31 @@ class TestAggregate:
         assert by_vid["A"].price == 51 and by_vid["B"].price == 52
         assert by_vid["A"].fee == 0.001 and by_vid["B"].latency == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_of_book_routes_like_the_full_ladder(self, seed):
+        rng = np.random.default_rng(seed)
+        venues = [self.venue(vid, fee=0.001 * i, latency=i) for i, vid in enumerate("ABC")]
+        for cfg, book in venues:
+            for i in range(40):
+                side = Side.BUY if rng.random() < 0.5 else Side.SELL
+                price = int(rng.integers(90, 100) if side is Side.BUY else rng.integers(101, 111))
+                qty = int(rng.integers(1, 300))
+                display = [None, 0, max(1, qty // 3)][int(rng.integers(3))]
+                book.submit(limit(f"{cfg.venue_id}{i}", side, price, qty, display), clock=i)
+        (_, a), (_, b), (_, c) = venues
+        # A's and C's best levels hold only hidden orders: the public view skips them
+        a.submit(limit("hidden-ask", Side.SELL, 100, 50, display=0), clock=50)
+        c.submit(limit("hidden-bid", Side.BUY, 100, 50, display=0), clock=50)
+        # B has an iceberg at its touch on both sides
+        b.submit(limit("ice-ask", Side.SELL, b.best_ask(), 500, display=10), clock=50)
+        b.submit(limit("ice-bid", Side.BUY, b.best_bid(), 500, display=10), clock=50)
+        assert a.best_ask() == 100 and a.snapshot(depth=1).asks[0].price > 100
+        assert c.best_bid() == 100 and c.snapshot(depth=1).bids[0].price < 100
+        top, full = aggregate(venues, depth=1), aggregate(venues)
+        assert len(top.bids) == len(top.asks) == 3 < len(full.asks)
+        for side in (Side.BUY, Side.SELL):
+            assert candidates_from_virtual(top, side) == candidates_from_virtual(full, side)
+
 
 class TestCatching:
     def test_trips_on_adverse_move_only(self):
