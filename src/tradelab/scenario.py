@@ -437,7 +437,13 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
 
 
 def _validate(scenario: Scenario) -> None:
-    if scenario.algo is not None:
+    if scenario.algo is None:
+        for section in scenario.config:   # sections only the algorithm runner reads
+            if section == "parent" or section.startswith("venue:"):
+                raise ScenarioError(f"inert section [{section}]: no [algo] section")
+        if scenario.optimizer is None:
+            raise ScenarioError("scenario describes nothing to run (no [algo], no [optimizer])")
+    else:
         if scenario.market is None:
             raise ScenarioError("[algo] requires a [market] section")
         if not scenario.venues:
@@ -446,7 +452,3 @@ def _validate(scenario: Scenario) -> None:
             raise ScenarioError("[algo] requires a [parent] section")
         if scenario.parent.end > scenario.market.session_ticks:
             raise ScenarioError("[parent].end runs past [market].session_ticks")
-    if (scenario.algo is None and scenario.optimizer is None
-            and scenario.market is None):
-        raise ScenarioError("scenario describes nothing to run "
-                            "(no [algo], no [optimizer], no [market])")

@@ -402,14 +402,16 @@ class CatchStop:
         return self.tripped
 
     def make_aggressive(self, book: OrderBook, order_id: str) -> Optional[Order]:
-        """Cancel a resting child and re-issue it as a marketable IOC limit."""
+        """Cancel a resting child and re-issue it as a marketable IOC limit.
+
+        With no opposite touch to take, the child keeps resting and the
+        result is None.
+        """
         remaining = book.remaining(order_id)
-        if remaining <= 0:
+        touch = book.best_ask() if self.side is Side.BUY else book.best_bid()
+        if remaining <= 0 or touch is None:
             return None
         book.cancel(order_id)
-        touch = book.best_ask() if self.side is Side.BUY else book.best_bid()
-        if touch is None:
-            return None
         return Order(f"{order_id}-x", self.side, OrderKind.LIMIT, remaining,
                      limit_price=touch, tif=Tif.IOC)
 

@@ -27,11 +27,11 @@ and live-set slot are dropped when it leaves the book (filled, expired or
 cancelled); dispatched orders keep theirs. A scenario run hands
 ``MarketSim`` file-backed logs, so the log lines stream to disk as the
 session runs. On one full-day session over three venues (the benchmark's
-``heavy_day``) memory grows by 16 MB per run (28 MB while the books kept
-every fill, 38 MB with every order's state, 83 MB with in-memory logs), and
-a run takes 2.5 s (3.0 s before the book's one-pass submit). The simulator's
-own time per background order, outside the book, is 10.9 µs traced (11.5 µs
-before, 19-21 µs before the block draws; 2-core Xeon, ``perfbench/run.py``
+``heavy_day``) memory grows by 16-18 MB per run (28 MB while the books kept
+every fill, 83 MB with in-memory logs), and under Python 3.11 a run takes
+2.1 s, 2.5 s while the simulator and the book read enum members through
+their classes. The simulator's own time per background order, outside the
+book, is 10.5 µs traced (11.4 µs before; 2-core Xeon, ``perfbench/run.py``
 reference seconds).
 """
 
@@ -56,6 +56,13 @@ from tradelab.orderbook import (
     Side,
     Tif,
 )
+
+# Enum members read per order, bound once: see the note in ``orderbook``.
+_BUY = Side.BUY
+_SELL = Side.SELL
+_MARKET = OrderKind.MARKET
+_LIMIT = OrderKind.LIMIT
+_GTD = Tif.GTD
 
 TRADING_DAYS_PER_YEAR = 250
 BLOCK_TICKS = 1_000   # the flow is drawn for ticks (k*BLOCK_TICKS, (k+1)*BLOCK_TICKS]
@@ -384,15 +391,15 @@ class MarketSim:
             for buy, market, qty, offset in islice(self._orders, counts[v]):
                 self._bg_count += 1
                 oid = f"bg-{vid}-{self._bg_count}"
-                side = Side.BUY if buy else Side.SELL
+                side = _BUY if buy else _SELL
                 if market:
                     if (book.best_ask() if buy else book.best_bid()) is None:
                         continue
-                    order = Order(oid, side, OrderKind.MARKET, qty)
+                    order = Order(oid, side, _MARKET, qty)
                 else:
-                    order = Order(oid, side, OrderKind.LIMIT, qty,
+                    order = Order(oid, side, _LIMIT, qty,
                                   limit_price=max(1, anchor + offset),
-                                  tif=Tif.GTD, tif_time=expiry)
+                                  tif=_GTD, tif_time=expiry)
                 self._submit_background(vid, order)
             if cancels is not None:
                 hit, pick = cancels[v]
@@ -419,10 +426,10 @@ class MarketSim:
                                         2 * p.max_quote_offset * len(self.venues)).tolist())
         for vid in self.venues:
             for i in range(1, p.max_quote_offset + 1):
-                for side, price in ((Side.BUY, anchor - i), (Side.SELL, anchor + i)):
+                for side, price in ((_BUY, anchor - i), (_SELL, anchor + i)):
                     self._bg_count += 1
                     self._submit_background(vid, Order(f"bg-{vid}-{self._bg_count}", side,
-                                                       OrderKind.LIMIT, next(sizes),
+                                                       _LIMIT, next(sizes),
                                                        limit_price=max(1, price)))
 
 

@@ -1,5 +1,12 @@
 """Matching-engine semantics: golden book scenarios and order-type contracts."""
 
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from tradelab.orderbook import (
@@ -12,6 +19,8 @@ from tradelab.orderbook import (
     Tif,
     UnknownOrderError,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def hms(h, m, s):
@@ -688,3 +697,46 @@ class TestIndexedLayout:
         book.cancel("X")
         assert book.submit(limit("X", Side.SELL, 52, 50), clock=3).disposition \
             is Disposition.RESTING
+
+
+class TestInvariantCheck:
+    """check_invariants raises explicitly, so it checks under ``python -O`` too."""
+
+    REPRO = textwrap.dedent("""
+        from tradelab.orderbook import Order, OrderBook, OrderKind, Side
+        book = OrderBook()
+        for oid, price in (("B5", 5), ("B4", 4)):
+            book.submit(Order(oid, Side.BUY, OrderKind.LIMIT, 10, limit_price=price), clock=1)
+        book.check_invariants()
+        book._prices[Side.BUY].reverse()
+        book.check_invariants()
+    """)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_out_of_order_price_index_fails(self, flags):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, *flags, "-c", self.REPRO], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "AssertionError: price index out of order" in done.stderr
+
+
+ENUMS = {cls.__name__: set(cls.__members__) for cls in (Side, OrderKind, Tif, Disposition)}
+
+
+@pytest.mark.parametrize("module", ["orderbook.py", "venue_sim.py"])
+def test_no_function_reads_an_enum_member_through_its_class(module):
+    """On Python 3.10/3.11 such a read goes through ``EnumType.__getattr__``:
+    the per-order code reads module constants instead. Class-level defaults,
+    such as ``Order.stop_kind``, run once and may keep the class spelling."""
+    tree = ast.parse((SRC / "tradelab" / module).read_text())
+    reads = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            body = func.body if isinstance(func.body, list) else [func.body]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.attr in ENUMS.get(node.value.id, ())):
+                    reads.add(f"{module}:{node.lineno} {node.value.id}.{node.attr}")
+    assert sorted(reads) == []

@@ -212,6 +212,18 @@ def with_field(tmp_path, section, key, value, text=EVERY, name="case.ini"):
     return path
 
 
+def only_sections(tmp_path, *sections):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(EVERY)
+    for section in cfg.sections():
+        if section not in sections:
+            cfg.remove_section(section)
+    path = tmp_path / "case.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    return path
+
+
 def cli_run(path, tmp_path, *extra):
     return cli.main(["run", str(path), "--out", str(tmp_path / "out"), *extra])
 
@@ -267,6 +279,18 @@ class TestRejectedThroughCli:
         text = EVERY.split("[algo]")[0] + "[tactics]" + EVERY.split("[tactics]")[1]
         assert cli_run(write(tmp_path, text), tmp_path) == cli.EXIT_VALIDATION
         assert "inert field [tactics].slice_display" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["venue:V1", "parent"])
+    def test_runner_section_without_algo_named(self, tmp_path, capsys, section):
+        # beside [market], such a section used to run nothing and exit 0
+        path = only_sections(tmp_path, "scenario", "market", section)
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert f"inert section [{section}]: no [algo] section" in capsys.readouterr().err
+
+    def test_market_alone_is_nothing_to_run(self, tmp_path, capsys):
+        assert cli_run(only_sections(tmp_path, "scenario", "market"),
+                       tmp_path) == cli.EXIT_VALIDATION
+        assert "nothing to run" in capsys.readouterr().err
 
     def test_unknown_section(self, tmp_path, capsys):
         path = write(tmp_path, EVERY + "\n[parnet]\nside = buy\n")

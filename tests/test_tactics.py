@@ -359,6 +359,15 @@ class TestCatching:
         result = book.submit(aggressive, clock=3)
         assert sum(f.quantity for f in result.fills) == 400
 
+    def test_child_keeps_resting_without_an_opposite_touch(self):
+        book = OrderBook()
+        book.submit(limit("child", Side.BUY, 99, 300), clock=1)
+        stop = CatchStop(side=Side.BUY, reference_mid=100.0, threshold=2)
+        assert stop.check(102.0)
+        assert stop.make_aggressive(book, "child") is None
+        assert book.remaining("child") == 300
+        assert book.ledger("child") == (300, 0, 0)
+
 
 class TestTimingFactor:
     def test_urgency_grows_with_time_and_illiquidity(self):
