@@ -3,7 +3,7 @@
 Schedule generators emit integer share targets whose sum equals the parent
 quantity exactly (largest-remainder apportionment; remainder ties go to later
 buckets). The runner drives child orders through a simulated market bucket by
-bucket, honoring a max-child-size cap, optional price limits, and POV's
+bucket, honoring a max-child-size cap, the parent's price limit, and POV's
 own-volume correction, and returns a full execution trace for analysis.
 """
 
@@ -68,9 +68,6 @@ class Schedule:
     def __post_init__(self):
         if any(t < 0 for t in self.targets):
             raise ValueError("schedule targets must be >= 0")
-
-    def items(self):
-        return list(enumerate(self.targets))
 
     @property
     def total(self) -> int:
@@ -218,12 +215,10 @@ class AlgoSpec:
     """Config-file face of an algorithm instance."""
 
     type: str                           # twap | vwap | pov | pov-adaptive
-    bucket_ticks: int = 450
+    bucket_ticks: int = 450             # twap bucket; POV window = bucket_ticks // 10
     pr: float = 0.1
     tilt: Optional[TiltPolicy] = None
     max_child: Optional[int] = None
-    price_limit: Optional[int] = None
-    window_ticks: Optional[int] = None  # POV observation window (default bucket/10)
     sensitivity: float = 0.0            # pov-adaptive only
     pr_max: float = 0.95
     both_sides_volume: bool = True      # POV measures both-sides traded volume
@@ -280,9 +275,8 @@ class _ChildTracker:
     see a gap-free view of the stream.
     """
 
-    def __init__(self, sim: MarketSim, venue_id: str):
+    def __init__(self, sim: MarketSim):
         self.sim = sim
-        self.venue_id = venue_id
         self.ids: dict[str, int] = {}   # child id -> submission index
         self.submitted = 0
         self.volume = 0
@@ -351,7 +345,7 @@ def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     """
     venue_id = next(iter(sim.venues))
     trace = ExecutionTrace(parent=parent)
-    tracker = _ChildTracker(sim, venue_id)
+    tracker = _ChildTracker(sim)
     tracker.wiring = wiring or ExecutionWiring()
     if tracker.wiring.slice_policy is not None:
         tracker.slice_rng = np.random.default_rng(tracker.wiring.slice_policy.seed)
@@ -374,10 +368,9 @@ def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     return trace
 
 
-def _make_child(spec: AlgoSpec, parent: ParentOrder, oid: str, qty: int) -> Order:
-    price_cap = spec.price_limit if spec.price_limit is not None else parent.price_limit
-    if price_cap is not None:
-        return Order(oid, parent.side, OrderKind.LIMIT, qty, limit_price=price_cap,
+def _make_child(parent: ParentOrder, oid: str, qty: int) -> Order:
+    if parent.price_limit is not None:
+        return Order(oid, parent.side, OrderKind.LIMIT, qty, limit_price=parent.price_limit,
                      tif=Tif.IOC)
     return Order(oid, parent.side, OrderKind.MARKET, qty)
 
@@ -395,37 +388,36 @@ def _choose_venue(parent: ParentOrder, sim: MarketSim, tracker: _ChildTracker,
     return tactics.route(cands, parent.side, weights)
 
 
-def _submit_child(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
-                  trace: ExecutionTrace, tracker: _ChildTracker,
-                  venue_id: str, qty: int) -> None:
+def _submit_child(parent: ParentOrder, sim: MarketSim, trace: ExecutionTrace,
+                  tracker: _ChildTracker, venue_id: str, qty: int) -> None:
     if qty <= 0:
         return
     venue_id = _choose_venue(parent, sim, tracker, venue_id)
     book = sim.book(venue_id)
     opposite_best = (book.best_ask() if parent.side is Side.BUY else book.best_bid())
-    if opposite_best is None and spec.price_limit is None and parent.price_limit is None:
+    if opposite_best is None and parent.price_limit is None:
         return   # market child into an empty book would be rejected
     oid = tracker.next_id()
-    order = _make_child(spec, parent, oid, qty)
+    order = _make_child(parent, oid, qty)
     tracker.register(order)
     trace.children.append(order)
     sim.dispatch(venue_id, order)
 
 
-def _submit_sliced(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
-                   trace: ExecutionTrace, tracker: _ChildTracker, venue_id: str,
-                   want: int, bucket_end: int) -> None:
+def _submit_sliced(parent: ParentOrder, sim: MarketSim, trace: ExecutionTrace,
+                   tracker: _ChildTracker, venue_id: str, want: int,
+                   bucket_ticks: int, bucket_end: int) -> None:
     """Split a bucket target into sequential slice-policy children.
 
-    Each child goes out only after a resolve step (market/IOC children clear
-    within a tick or two), so the footprint is the randomized display size,
-    not the bucket target.
+    Each child goes out only after a resolve step of a tenth of the
+    schedule's bucket (market/IOC children clear within a tick or two), so
+    the footprint is the randomized display size, not the bucket target.
     """
     policy = tracker.wiring.slice_policy
-    step = max(1, spec.bucket_ticks // 10)
+    step = max(1, bucket_ticks // 10)
     while want > 0 and sim.clock < bucket_end:
         size = min(tactics.draw_slice_size(policy, tracker.slice_rng), want)
-        _submit_child(spec, parent, sim, trace, tracker, venue_id, size)
+        _submit_child(parent, sim, trace, tracker, venue_id, size)
         advance_by = min(step, bucket_end - sim.clock)
         if advance_by > 0:
             sim.advance(advance_by)
@@ -440,7 +432,7 @@ def _run_scheduled(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     else:
         schedule = vwap_schedule(parent, sim.profile)
     carry = 0
-    for j, target in schedule.items():
+    for j, target in enumerate(schedule.targets):
         bucket_start = parent.start + j * schedule.bucket_ticks
         bucket_end = min(bucket_start + schedule.bucket_ticks, parent.end)
         if bucket_start >= parent.end:
@@ -456,10 +448,10 @@ def _run_scheduled(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
             want = min(want, spec.max_child)
         before = trace.filled
         if tracker.wiring.slice_policy is not None:
-            _submit_sliced(spec, parent, sim, trace, tracker, venue_id, want,
-                           bucket_end)
+            _submit_sliced(parent, sim, trace, tracker, venue_id, want,
+                           schedule.bucket_ticks, bucket_end)
         else:
-            _submit_child(spec, parent, sim, trace, tracker, venue_id, want)
+            _submit_child(parent, sim, trace, tracker, venue_id, want)
         if bucket_end > sim.clock:
             sim.advance(bucket_end - sim.clock)
         tracker.harvest(trace)
@@ -481,7 +473,7 @@ def _cancel_resting(tracker: _ChildTracker, sim: MarketSim) -> None:
 
 def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
              trace: ExecutionTrace, tracker: _ChildTracker, venue_id: str) -> None:
-    window = spec.window_ticks or max(1, spec.bucket_ticks // 10)
+    window = max(1, spec.bucket_ticks // 10)
     window_idx = 0
     benchmark_price = trace.arrival_price or float(sim.fundamental)
     while sim.clock < parent.end:
@@ -499,7 +491,7 @@ def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
         if spec.max_child is not None:
             want = min(want, spec.max_child)
         if want > 0 and sim.clock < parent.end:
-            _submit_child(spec, parent, sim, trace, tracker, venue_id, want)
+            _submit_child(parent, sim, trace, tracker, venue_id, want)
             sim.advance(1)
             tracker.harvest(trace)
         trace.realized.append((window_idx, target_own, trace.filled))

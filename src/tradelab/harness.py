@@ -358,29 +358,33 @@ def _emit_trace_files(scenario: Scenario, trace: ExecutionTrace,
            report_text(report.is_report, side=scenario.parent.side.value))
 
 
+def _frontier_table(scenario: Scenario, benchmark: str) -> str:
+    """One benchmark's efficient-frontier table over the [optimizer] lambda grid."""
+    opt = scenario.optimizer
+    points = (frontier(opt.lambda_grid, scenario.coefficients(), scenario.risk,
+                       benchmark=benchmark, drift=opt.drift, alpha_min=opt.alpha_min,
+                       alpha_max=opt.alpha_max)
+              if opt.lambda_grid else [])
+    return frontier_to_delimited(points)
+
+
 def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
     """Emit frontier tables (per benchmark) and the cost surface; returns filenames."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = scenario.header()
     opt = scenario.optimizer
-    coeffs = scenario.coefficients()
-    risk = scenario.risk
+    if opt is None:
+        raise ScenarioError("the frontier needs an [optimizer] section")
     benchmarks = (("arrival", "previous_close") if opt.benchmark == "both"
                   else (opt.benchmark,))
     written = []
     for benchmark in benchmarks:
-        if opt.lambda_grid:
-            points = frontier(opt.lambda_grid, coeffs, risk, benchmark=benchmark,
-                              drift=opt.drift, alpha_min=opt.alpha_min,
-                              alpha_max=opt.alpha_max)
-        else:
-            points = []
         name = f"frontier_{benchmark}.txt"
-        _write(out / name, header, frontier_to_delimited(points))
+        _write(out / name, header, _frontier_table(scenario, benchmark))
         written.append(name)
     alphas = np.linspace(opt.alpha_min, opt.alpha_max, 400)
-    rows = sample_cost_surface(coeffs, risk, alphas)
+    rows = sample_cost_surface(scenario.coefficients(), scenario.risk, alphas)
     surface = "alpha|mi|risk\n" + "".join(
         f"{float(a)!r}|{m!r}|{r!r}\n" for a, m, r in rows)
     _write(out / "cost_surface.txt", header, surface)
@@ -412,11 +416,8 @@ def emit_figures(scenario: Scenario, out_dir: Path) -> list[str]:
     written.append("fig1.txt")
 
     for benchmark in ("arrival", "previous_close"):
-        points = (frontier(grid, coeffs, risk, benchmark=benchmark, drift=opt.drift,
-                           alpha_min=opt.alpha_min, alpha_max=opt.alpha_max)
-                  if grid else [])
         name = f"fig2_{benchmark}.txt"
-        _write(out / name, header, frontier_to_delimited(points))
+        _write(out / name, header, _frontier_table(scenario, benchmark))
         written.append(name)
     return written
 

@@ -8,7 +8,7 @@ AON, day).
 
 Conventions:
     * Prices are integer ticks, quantities integer shares. The currency value
-      of one tick is ``tick_size`` and is only used by reporting layers.
+      of one tick (the market's ``tick_size``) is only used by reporting layers.
     * Within a price level, visible slices match strictly before hidden
       remainders; both queues are FIFO on (timestamp, sequence).
     * Iceberg reserves drain through display-sized refills; each refill gets
@@ -187,9 +187,6 @@ class EventLog:
     to disk as they happen and the session holds none of them.
     """
 
-    COLUMNS = ("event", "clock", "order_id", "side", "price_ticks", "qty", "flags")
-    DELIMITER = "|"
-
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = io.StringIO() if stream is None else stream
         self._write = self.stream.write
@@ -259,10 +256,9 @@ class OrderBook:
     repeating until neither set changes.
     """
 
-    def __init__(self, venue_id: str = "", tick_size: float = 1.0,
-                 session_close: Optional[int] = None, log: Optional[EventLog] = None):
+    def __init__(self, venue_id: str = "", session_close: Optional[int] = None,
+                 log: Optional[EventLog] = None):
         self.venue_id = venue_id
-        self.tick_size = tick_size
         self.session_close = session_close
         self.log = log
         self.clock = 0
@@ -722,21 +718,6 @@ class OrderBook:
             heapq.heappush(self._expiries, (self.session_close, order.order_id))
 
     # -- stops / AON settle loop ---------------------------------------------
-
-    def trigger_stops(self, last_trade_price: Optional[int] = None) -> list[Order]:
-        """Activate pending stops against the given (or current) trade price."""
-        price = self.last_trade_price if last_trade_price is None else last_trade_price
-        activated: list[Order] = []
-        if price is None:
-            return activated
-        while True:
-            fired = self._fire_one_stop(price)
-            if fired is None:
-                break
-            activated.append(fired)
-            price = self.last_trade_price if self.last_trade_price is not None else price
-        self._settle()
-        return activated
 
     def _fire_one_stop(self, price: int) -> Optional[Order]:
         for order in self._stops.values():

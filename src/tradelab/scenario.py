@@ -6,10 +6,12 @@ one ``[venue:<id>]`` per venue, ``[parent]``, ``[algo]``, ``[tactics]``,
 ``seed`` is mandatory; a file with just cost/optimizer sections describes a
 frontier-only scenario (no simulation).
 
-Each section has one field table in ``SECTIONS``: key, converter and default,
-in echo order. ``load_scenario`` reads every section through its table,
-makes every default explicit and rejects any key or section the tables do
-not hold; ``Scenario.echo`` writes the same tables back, so the echo is a
+Each section has one field table in ``SECTIONS``, and ``[algo]`` one per
+``type`` in ``ALGO``: key, converter and default, in echo order. A type's
+table holds only the keys it reads. ``load_scenario`` reads every section
+through its table, makes every default explicit and rejects any key or
+section the tables do not hold, naming a key that only another type reads as
+inert; ``Scenario.echo`` writes the same tables back, so the echo is a
 complete, reproducible description whose hash identifies the run. The one
 input-only spelling is ``[optimizer] lambda_min/lambda_max/lambda_points``,
 which the loader turns into the ``lambda_grid`` it echoes.
@@ -31,7 +33,7 @@ from tradelab.orderbook import Side
 from tradelab.tactics import RouteWeights, SlicePolicy
 from tradelab.venue_sim import MarketParams, VenueConfig, VolumeProfile, u_shape_profile
 
-ARTIFACT_VERSION = "2"   # v2: the block-drawn background stream (venue_sim)
+ARTIFACT_VERSION = "3"   # v3: the [algo] echo holds only the keys its type reads
 
 
 class ScenarioError(ValueError):
@@ -199,18 +201,6 @@ SECTIONS: dict[str, tuple[Field, ...]] = {
         Field("end", INT),
         Field("price_limit_ticks", INT, None, "price_limit"),
     ),
-    "algo": (
-        Field("type", _one_of("twap", "vwap", "pov", "pov-adaptive")),
-        Field("bucket_ticks", INT, 450),
-        Field("pr", FLOAT, 0.1),
-        *_TILT,
-        Field("sensitivity", FLOAT, 0.0),
-        Field("pr_max", FLOAT, 0.95),
-        Field("both_sides_volume", BOOL, True),
-        Field("max_child", INT, None),
-        Field("price_limit_ticks", INT, None, "price_limit"),
-        Field("window_ticks", INT, None),
-    ),
     "tactics": _SLICE + _ROUTE,
     "cost_model": _IMPACT + (_HORIZON,),
     "optimizer": (
@@ -227,7 +217,24 @@ SECTIONS: dict[str, tuple[Field, ...]] = {
 }
 
 
-def _table(section: str) -> Optional[tuple[Field, ...]]:
+# [algo] has one table per type, each holding only the keys that type reads.
+_TYPE = Field("type", _one_of("twap", "vwap", "pov", "pov-adaptive"))
+_BUCKET = Field("bucket_ticks", INT, 450)   # POV: the window is bucket_ticks // 10
+_MAX_CHILD = Field("max_child", INT, None)
+_POV = (_TYPE, _BUCKET, Field("pr", FLOAT, 0.1), Field("both_sides_volume", BOOL, True),
+        _MAX_CHILD)
+ALGO: dict[str, tuple[Field, ...]] = {
+    "twap": (_TYPE, _BUCKET, *_TILT, _MAX_CHILD),
+    "vwap": (_TYPE, _MAX_CHILD),
+    "pov": _POV,
+    "pov-adaptive": _POV + (Field("sensitivity", FLOAT, 0.0), Field("pr_max", FLOAT, 0.95)),
+}
+
+
+def _table(section: str, values: Optional[dict] = None) -> Optional[tuple[Field, ...]]:
+    """A section's field table; [algo]'s is the one its loaded ``type`` picks."""
+    if section == "algo":
+        return ALGO[values["type"]]
     return SECTIONS.get("venue" if section.startswith("venue:") else section)
 
 
@@ -266,7 +273,7 @@ class Scenario:
         out = []
         for section, values in self.config.items():
             lines = "".join(f"{f.key} = {f.kind.show(values[f.key])}\n"
-                            for f in _table(section) if values[f.key] is not None)
+                            for f in _table(section, values) if values[f.key] is not None)
             if lines:
                 out.append(f"[{section}]\n{lines}\n")
         return "".join(out)
@@ -289,20 +296,31 @@ def _read(parser, section: str, fields, scenario: Optional[Scenario]) -> dict:
     for key in given:
         if key not in known:
             raise ScenarioError(f"unknown field [{section}].{key}")
-    values = {}
-    for f in fields:
-        if f.key not in given:
-            if f.default is REQUIRED:
-                raise ScenarioError(f"missing required field [{section}].{f.key}")
-            values[f.key] = f.default(scenario) if callable(f.default) else f.default
-            continue
-        raw = parser.get(section, f.key)
-        try:
-            values[f.key] = f.kind.parse(raw)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"invalid value for [{section}].{f.key}: {raw!r} ({exc})") from None
-    return values
+    return {f.key: _value(parser, section, f, scenario) for f in fields}
+
+
+def _value(parser, section: str, f: Field, scenario: Optional[Scenario]):
+    """One field's value: parsed from the file, or its default made explicit."""
+    if not parser.has_option(section, f.key):
+        if f.default is REQUIRED:
+            raise ScenarioError(f"missing required field [{section}].{f.key}")
+        return f.default(scenario) if callable(f.default) else f.default
+    raw = parser.get(section, f.key)
+    try:
+        return f.kind.parse(raw)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"invalid value for [{section}].{f.key}: {raw!r} ({exc})") from None
+
+
+def _algo_table(parser) -> tuple[Field, ...]:
+    """The table of the file's [algo] type; a key only other types read is inert."""
+    kind = _value(parser, "algo", _TYPE, None)
+    fields = ALGO[kind]
+    own = {f.key for f in fields}
+    _reject("algo", (f.key for table in ALGO.values() for f in table if f.key not in own),
+            parser, f"type = {kind} never reads it")
+    return fields
 
 
 def _make(section: str, fields, factory, values: dict, **extra):
@@ -361,7 +379,7 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
     if not parser.has_section("scenario"):
         raise ScenarioError("missing required section [scenario]")
     for section in parser.sections():
-        if _table(section) is None:
+        if section != "algo" and _table(section) is None:
             raise ScenarioError(f"unknown section [{section}]")
 
     v = _read(parser, "scenario", SECTIONS["scenario"], None)
@@ -393,9 +411,10 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
         scenario.parent = _make("parent", SECTIONS["parent"], ParentOrder, read("parent"))
 
     if parser.has_section("algo"):
-        v = read("algo")
-        tilt = _make("algo", _TILT, TiltPolicy, v)
-        scenario.algo = _make("algo", [f for f in SECTIONS["algo"] if f not in _TILT],
+        fields = _algo_table(parser)
+        v = read("algo", fields)
+        tilt = _make("algo", _TILT, TiltPolicy, v) if v["type"] == "twap" else None
+        scenario.algo = _make("algo", [f for f in fields if f not in _TILT],
                               AlgoSpec, v, tilt=tilt)
 
     if parser.has_section("tactics"):
@@ -443,6 +462,9 @@ def _validate(scenario: Scenario) -> None:
                 raise ScenarioError(f"inert section [{section}]: no [algo] section")
         if scenario.optimizer is None:
             raise ScenarioError("scenario describes nothing to run (no [algo], no [optimizer])")
+        if scenario.market is not None:
+            raise ScenarioError("inert section [market]: no [algo] section; give "
+                                "adv, sigma and price in [cost_model] instead")
     else:
         if scenario.market is None:
             raise ScenarioError("[algo] requires a [market] section")

@@ -16,11 +16,11 @@ random-cancel churn exercises the cancel path.
 book's fills and event log. A book keeps every fill unless its owner drops
 them; the algorithm runner drops each fill once it has harvested it.
 
-Stream v2, named by the ``v2`` in every artifact header: the flow is drawn
-in numpy blocks of ``BLOCK_TICKS`` ticks whose edges sit at fixed clock
-values, so a session depends on the seed and the clock alone, not on how
-``advance`` is called. Stream v1 drew 3-4 scalar values per order and 2-3
-per tick, so one seed gives different sessions under the two versions.
+Stream v2, introduced with artifact v2 and unchanged in v3: the flow is
+drawn in numpy blocks of ``BLOCK_TICKS`` ticks whose edges sit at fixed
+clock values, so a session depends on the seed and the clock alone, not on
+how ``advance`` is called. Stream v1 drew 3-4 scalar values per order and
+2-3 per tick, so one seed gives different sessions under the two versions.
 
 Per-order state follows the live book: a background order's ledger, side
 and live-set slot are dropped when it leaves the book (filled, expired or
@@ -218,8 +218,7 @@ class MarketSim:
         self.clock = 0
         self.fundamental = float(params.initial_price_ticks)
         self.books: dict[str, OrderBook] = {
-            vid: OrderBook(venue_id=vid, tick_size=params.tick_size,
-                           session_close=params.session_ticks,
+            vid: OrderBook(venue_id=vid, session_close=params.session_ticks,
                            log=EventLog() if logs is None else logs[vid])
             for vid in self.venues
         }

@@ -26,34 +26,34 @@ PINNED_RUNS = {name: SCENARIOS / f"{name}.ini"
 PINNED_RUNS["routed_day"] = ROOT / "tests" / "inputs" / "routed_day.ini"
 
 PINNED = {
-          "twap_quarter_day/cost_surface.txt": "8ea4987cc31d4247d362746be2f596f1445e4ebe27be59beaaf84f90b05152a3",
-          "twap_quarter_day/events_LIT1.log": "7f2874bf5d3bece3c8a807ee2d47ebb004b078dec420454ba5ab8d22d5d18785",
-          "twap_quarter_day/fills.log": "fe91b3913dfd919ea6a9441e66a0aa7fc9bad6a111cd8da1aaa640a5b4f06e19",
-          "twap_quarter_day/frontier_arrival.txt": "59a9bfd0214b5d405c48435c560b8dadca50eb17d8c565c3b520dccdec755c05",
-          "twap_quarter_day/frontier_previous_close.txt": "ddc6c088cba237b88ad72d1f7d6a8b30fd880220bf9a2b92773955e9880faf4a",
-          "twap_quarter_day/report.json": "fb758b00d04e9f33268b96915602cb6b5c2d653bf6e459e4edc183abf37cc29f",
-          "twap_quarter_day/scenario_echo.ini": "139fb23f4a2d8993e6c7fceba6773324174e0db4eb34f5a30de4a35f80ed2e23",
-          "twap_quarter_day/tca_report.txt": "b5f067752bdedf45f07c4c8ff3408101968c44e9ac3c35d42c30a37b49fe6f2e",
-          "pov_quarter_day/events_LIT1.log": "9f64c97b36d488e8226b16c65ac14538121df0118a5cf1fb70c06096e6d2a0f4",
-          "pov_quarter_day/fills.log": "4a464fed067751eac7e5f7cfd7738c0270f852107cfdf7f72be7d323a0c248f0",
-          "pov_quarter_day/report.csv": "930fc6c3835b93b96ae8abc6a52f86f6be358fdd314052429581557e8b54f3bb",
-          "pov_quarter_day/scenario_echo.ini": "a05f3bf3dae1095139c571059a4e861463e136f0fcf981ea62e3f73d5f42e539",
-          "pov_quarter_day/tca_report.txt": "7a86d24c4d3657d52b5465804f88b5a94dd98de19cd89cce1c68d653f4f5a93c",
-          "frontier_only/cost_surface.txt": "3cb15a08f7b10336d9fc236272b18da944632bba7f5d7480928a17f59b71aff3",
-          "frontier_only/frontier_arrival.txt": "ddef9143c106497d15acf0fb50b9d4bb27e94d5ffa8acb431215f5bb54f2dae9",
-          "frontier_only/frontier_previous_close.txt": "73b89bdef13dc35ae114db16edf3cba6b212f552cc0a3a40c78c44bab89f72f8",
-          "frontier_only/report.csv": "519d302eb5f8c17ca5847f82afa22ce9531c54afa5235590996525281af46e5d",
-          "frontier_only/scenario_echo.ini": "4823f5785c6903565eb4af3ba80c5e5b0793d5d35f7600c97d9b8c546587db61",
-          "routed_day/cost_surface.txt": "0c40c023458659910ce481b865ff45dc7ac0481e8b74fb0a825d59fdd1a62add",
-          "routed_day/events_DARK1.log": "893c9d523e1782a036fd780e6c2ae0936ce356c8d9cd2a21941a009b252aca36",
-          "routed_day/events_ECN1.log": "bd13280bb808ed97dbee1131f57386941fac5952e668c7036ba87910d50b53ff",
-          "routed_day/events_LIT1.log": "28f1b3432b216f06c06635c2deba3b74471a08eedb5284ab4dd882642669a70e",
-          "routed_day/fills.log": "74e26c230fba818c6db36efa7420be3b078123e700a5e398e36af31cb509f100",
-          "routed_day/frontier_arrival.txt": "87bc9c2b254c5e598d5ad3a85e4af050141d7c7825dafc57ddbf58fbe00eb609",
-          "routed_day/frontier_previous_close.txt": "97160140799199bfd3d89d437499b255ae2147cdf9120ca31694cb08d3559d0b",
-          "routed_day/report.json": "186656b4ec4b68a9aec2b9bb4f3336dad968a3d8ba9c96892a7d0a25f772b072",
-          "routed_day/scenario_echo.ini": "8626593053217bf3e8e4cfccdcc5ef7ef639081c4c3e2370a8872d0cd0057e02",
-          "routed_day/tca_report.txt": "8599dd1fae856ea9d2b8a2540e25321e13ff55450a46a8fe6ed469cded62bb07",
+          "twap_quarter_day/cost_surface.txt": "b209984eca5d676c65ac560c377d19bb3592ea89ebc65a93a882c5571d7fd2fb",
+          "twap_quarter_day/events_LIT1.log": "89733fb9847dad42d3cff17e815048f296bf13339d7a12eda30b7056f5389fa6",
+          "twap_quarter_day/fills.log": "8ebef0d5f1ed95c1fe602f85642248703754a11681eaded55484a41fd5390324",
+          "twap_quarter_day/frontier_arrival.txt": "eb2c5da19c560bb02a6dc64b65d3f57c720af2d07510e0a0f329424a1a0a9983",
+          "twap_quarter_day/frontier_previous_close.txt": "bfdafa211edeb87c9d857ab6985576b0f7d877398a47300c98815c19833c74d3",
+          "twap_quarter_day/report.json": "c054fab1956ee8417a277e6cae3907d45fb4cab5dea256a3c0c2d91254788401",
+          "twap_quarter_day/scenario_echo.ini": "9d80180034d094c885e3a5bc68c50faed3ffcabdd0d033787b8a611c9fd95183",
+          "twap_quarter_day/tca_report.txt": "7b5d4300a4fe6a9a4509ad8b8e4b4d0184a85df5b8d96f84b858bcbbbabaca28",
+          "pov_quarter_day/events_LIT1.log": "7389819b9ba03359bb1784047b2fd022bea7346ec5ba9a1ec17370e433916726",
+          "pov_quarter_day/fills.log": "87d23265810ecaddd344a6be0431a06091ba7a31ab01f0cae0b9ead27cdec9c2",
+          "pov_quarter_day/report.csv": "801a1dde6986b6f81114690edebb8f61a9fbcc9c5e27f6a1bbbbe8df00a54af4",
+          "pov_quarter_day/scenario_echo.ini": "fe91e4a66b7ac401345a532cee441fecb03b484adc95b2dd20671eb19e428be5",
+          "pov_quarter_day/tca_report.txt": "bf7d72045a15786a856620b1e53c9195cff78e3d78d30ec321fe4d614b4f7e37",
+          "frontier_only/cost_surface.txt": "77bac54990994df1562de23fd6221b0257e1967bf57ea4fa85ed3fe9db48cdd3",
+          "frontier_only/frontier_arrival.txt": "51e39a7f21289051bab046bfc0eea8594fa6c5bfbf8573e3cce43ad4858ef357",
+          "frontier_only/frontier_previous_close.txt": "c4edca4c6ad2ccc05326e792e0122ee67093ce1b6bd877dab277b94a0168a20b",
+          "frontier_only/report.csv": "e1ec91214052b09c2a829739da4c20585bb3509b44cc13f5d831fc2a1a295603",
+          "frontier_only/scenario_echo.ini": "5ac289a950a6f17d74ee5c99eda2d36f738127c19b50bfcdc02b955af6285912",
+          "routed_day/cost_surface.txt": "ff36b9d3a2d94c2cfb0a490eb8fe880ef7a54383ef81be522fcb5b349082825e",
+          "routed_day/events_DARK1.log": "ca55f137f0b870ca0077ea568729f38dd9ca9bee6cd86a6644ae73e211595772",
+          "routed_day/events_ECN1.log": "491b221f37fc017b0b5dcef8dd09292fe8bc24550e3a255b212879ca4ea6b9de",
+          "routed_day/events_LIT1.log": "e0a500d508776efb830fa6f12fc1771912169eae22dda3842a3643d95cda6a18",
+          "routed_day/fills.log": "e97a832dac85665476889eb5bf023c9a673bc9e898a3830508d82b2be1a6afc6",
+          "routed_day/frontier_arrival.txt": "4b22ab22a0d71bdf8dd92af84fa5de13d4b6eb0c4458150fcb2d1d932faff0e6",
+          "routed_day/frontier_previous_close.txt": "722bb55a69651896fd6e880cb6f82a9b4db855f79c7f726c8e10c602583d7e8a",
+          "routed_day/report.json": "a89f79de57b5c385af1bbbf24e1e6aca05f9f4200b8981d615b80e4f0214d622",
+          "routed_day/scenario_echo.ini": "6de479da27aa3dab0401da4df131f03e2c0e7a811aa405e9f19ed1f1dc1b619a",
+          "routed_day/tca_report.txt": "a8e28fb31a272e7598c45ff27011d47ef6757ffecbc16ca3fb154ef631de87e8",
 }
 
 

@@ -214,6 +214,20 @@ class TestRunAlgorithm:
         assert targets[0] > middle and targets[-1] > middle
         assert sum(targets) == p.quantity
 
+    def test_sliced_vwap_steps_by_its_own_bucket(self):
+        # VWAP buckets are horizon // len(profile); bucket_ticks is TWAP's and POV's
+        def one(bucket_ticks):
+            sim = quarter_day_sim(seed=5, profile=u_shape_profile(13))
+            wiring = ExecutionWiring(slice_policy=SlicePolicy(display=400, jitter=0.3,
+                                                              seed=2))
+            return run_algorithm(AlgoSpec(type="vwap", bucket_ticks=bucket_ticks),
+                                 parent(qty=13_000, start=0, end=5_850), sim,
+                                 wiring=wiring)
+        a, b = one(450), one(900)
+        assert len(a.children) > 13   # sliced
+        assert a.fills == b.fills
+        assert a.realized == b.realized
+
     def test_pov_participation_single_seed(self):
         sim = quarter_day_sim(seed=11)
         p = parent(qty=1_000_000, start=0, end=5_850)
@@ -333,7 +347,7 @@ class TestBoundedFillRecord:
 def test_resting_children_are_cancelled_in_submission_order():
     sim = quarter_day_sim()
     book = sim.book()
-    tracker = _ChildTracker(sim, "V1")
+    tracker = _ChildTracker(sim)
     submitted = [f"child-{n}" for n in (7, 2, 9, 4, 1, 8, 3)]
     for oid in submitted:
         order = Order(oid, Side.BUY, OrderKind.LIMIT, 10, limit_price=1)

@@ -96,7 +96,7 @@ class TestRun:
             path = out / name
             assert path.exists(), name
             first = path.read_text().splitlines()[0]
-            assert first.startswith("# tradelab-artifact v2 scenario=")
+            assert first.startswith("# tradelab-artifact v3 scenario=")
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = small_scenario(tmp_path)
@@ -223,6 +223,9 @@ class TestFigures:
         assert (out / "fig1.txt").exists()
         assert set(written) == {"fig1.txt", "fig2_arrival.txt",
                                 "fig2_previous_close.txt"}
+        for benchmark in ("arrival", "previous_close"):   # the run's own tables
+            assert ((out / f"fig2_{benchmark}.txt").read_bytes()
+                    == (out / f"frontier_{benchmark}.txt").read_bytes())
 
 
 class TestCli:
@@ -300,6 +303,14 @@ class TestCli:
                          "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_OK
         assert (tmp_path / "f" / "frontier_arrival.txt").exists()
+
+    def test_frontier_verb_needs_an_optimizer(self, tmp_path, capsys):
+        path = tmp_path / "no_optimizer.ini"
+        path.write_text((SCENARIOS / "twap_quarter_day.ini").read_text()
+                        .split("[optimizer]")[0])   # keeps [cost_model]
+        code = cli.main(["frontier", str(path), "--out", str(tmp_path / "f")])
+        assert code == cli.EXIT_VALIDATION
+        assert "[optimizer]" in capsys.readouterr().err
 
     def test_frontier_has_no_format_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

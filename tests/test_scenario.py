@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tradelab import cli, harness
-from tradelab.scenario import SECTIONS, ScenarioError, load_scenario
+from tradelab.scenario import ALGO, SECTIONS, ScenarioError, load_scenario
 from tradelab.tactics import draw_slice_size
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -224,6 +224,18 @@ def only_sections(tmp_path, *sections):
     return path
 
 
+def algo_case(tmp_path, algo_type, **keys):
+    """EVERY with an [algo] of only ``type`` and ``keys``, and no [tactics]."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(EVERY)
+    cfg["algo"] = {"type": algo_type, **keys}
+    cfg.remove_section("tactics")
+    path = tmp_path / "case.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    return path
+
+
 def cli_run(path, tmp_path, *extra):
     return cli.main(["run", str(path), "--out", str(tmp_path / "out"), *extra])
 
@@ -292,6 +304,35 @@ class TestRejectedThroughCli:
                        tmp_path) == cli.EXIT_VALIDATION
         assert "nothing to run" in capsys.readouterr().err
 
+    def test_market_beside_the_optimizer_named(self, tmp_path, capsys):
+        # without [algo], [market] only fed [cost_model] its adv/sigma/price defaults
+        path = only_sections(tmp_path, "scenario", "market", "cost_model", "optimizer")
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "inert section [market]: no [algo] section" in err and "[cost_model]" in err
+
+    @pytest.mark.parametrize("algo_type, key", [
+        *((t, k) for t in ("twap", "vwap")
+          for k in ("pr", "sensitivity", "pr_max", "both_sides_volume")),
+        ("vwap", "bucket_ticks"),
+        *((t, k) for t in ("vwap", "pov", "pov-adaptive")
+          for k in ("tilt_threshold", "tilt_factor", "tilt_jitter", "tilt_seed")),
+        ("pov", "sensitivity"), ("pov", "pr_max"),
+    ])
+    def test_key_another_algo_type_reads_named(self, tmp_path, capsys, algo_type, key):
+        path = algo_case(tmp_path, algo_type, **{key: ALTERNATIVES[key][0]})
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert (f"inert field [algo].{key}: type = {algo_type} never reads it"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("algo_type", sorted(ALGO))
+    @pytest.mark.parametrize("key", ["window_ticks", "price_limit_ticks"])
+    def test_deleted_algo_keys_unknown(self, tmp_path, capsys, algo_type, key):
+        # the POV window is bucket_ticks // 10; the price cap is [parent]'s
+        path = algo_case(tmp_path, algo_type, **{key: "40"})
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert f"unknown field [algo].{key}" in capsys.readouterr().err
+
     def test_unknown_section(self, tmp_path, capsys):
         path = write(tmp_path, EVERY + "\n[parnet]\nside = buy\n")
         assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
@@ -348,7 +389,6 @@ ALTERNATIVES = {
     "tilt_jitter": ("0.1", "0.2"), "tilt_seed": ("3", "4"),
     "sensitivity": ("0.5", "0.6"), "pr_max": ("0.9", "0.8"),
     "both_sides_volume": ("true", "false"), "max_child": ("500", "600"),
-    "window_ticks": ("30", "40"),
     "slice_display": ("700", "800"), "slice_jitter": ("0.1", "0.2"),
     "slice_seed": ("6", "7"), "route_w_price": ("3.0", "4.0"),
     "route_w_prob": ("3.0", "4.0"), "route_w_latency": ("3.0", "4.0"),
@@ -367,33 +407,53 @@ SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.ini")) + sorted(
     (ROOT / "perfbench" / "inputs").glob("*.ini"))
 
 
-def table_of(section):
+def table_of(section, values):
+    """The table the loader read ``section`` through; [algo]'s is its type's."""
+    if section == "algo":
+        return ALGO[values["type"]]
     return SECTIONS["venue" if section.startswith("venue:") else section]
+
+
+def assert_every_field_round_trips(tmp_path, base):
+    """Each field the scenario's tables read, changed alone, moves the digest
+    and survives an echo and reload."""
+    echo = base.echo()
+    assert load_scenario(write(tmp_path, echo, "echo.ini")).echo() == echo
+    for section, values in base.config.items():
+        for f in table_of(section, values):
+            cfg = configparser.ConfigParser()
+            cfg.read_string(echo)
+            current = cfg.get(section, f.key, fallback=None)
+            value = next(a for a in ALTERNATIVES[f.key] if a != current)
+            cfg[section][f.key] = value
+            if f.key == "type":   # keys the new type never reads would be inert
+                for key in set(cfg["algo"]) - {g.key for g in ALGO[value]}:
+                    cfg.remove_option("algo", key)
+            with open(tmp_path / "case.ini", "w") as fh:
+                cfg.write(fh)
+            changed = load_scenario(tmp_path / "case.ini")
+            where = f"[{section}].{f.key} = {value}"
+            assert changed.digest() != base.digest(), where
+            again = load_scenario(write(tmp_path, changed.echo(), "again.ini"))
+            assert again.echo() == changed.echo(), where
 
 
 class TestFieldTables:
     def test_every_row_has_alternatives_and_a_file(self):
-        keys = {f.key for fields in SECTIONS.values() for f in fields}
-        assert keys <= ALTERNATIVES.keys()
+        keys = {f.key for fields in (*SECTIONS.values(), *ALGO.values()) for f in fields}
+        assert keys == ALTERNATIVES.keys()
         covered = {("venue" if s.startswith("venue:") else s)
                    for path in SCENARIO_FILES for s in load_scenario(path).config}
-        assert covered == SECTIONS.keys()
+        assert covered == SECTIONS.keys() | {"algo"}
 
     @pytest.mark.parametrize("path", SCENARIO_FILES,
                              ids=lambda p: f"{p.parent.name}/{p.name}")
     def test_every_field_round_trips_and_moves_the_digest(self, tmp_path, path):
-        base = load_scenario(path)
-        echo = base.echo()
-        assert load_scenario(write(tmp_path, echo, "echo.ini")).echo() == echo
-        for section in base.config:
-            for f in table_of(section):
-                cfg = configparser.ConfigParser()
-                cfg.read_string(echo)
-                current = cfg.get(section, f.key, fallback=None)
-                value = next(a for a in ALTERNATIVES[f.key] if a != current)
-                changed = load_scenario(with_field(tmp_path, section, f.key, value,
-                                                   text=echo))
-                where = f"[{section}].{f.key} = {value}"
-                assert changed.digest() != base.digest(), where
-                again = load_scenario(write(tmp_path, changed.echo(), "again.ini"))
-                assert again.echo() == changed.echo(), where
+        assert_every_field_round_trips(tmp_path, load_scenario(path))
+
+    @pytest.mark.parametrize("algo_type", sorted(ALGO))
+    def test_every_algo_table_round_trips(self, tmp_path, algo_type):
+        # the files above hold twap and pov only
+        base = load_scenario(algo_case(tmp_path, algo_type))
+        assert [f.key for f in ALGO[algo_type]] == list(base.config["algo"])
+        assert_every_field_round_trips(tmp_path, base)

@@ -1,8 +1,12 @@
 """Simulator determinism, calibration, fees, latency, and profile shapes."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from tradelab.orderbook import Fill, Order, OrderKind, Side
+from tradelab.scenario import load_scenario
 from tradelab.venue_sim import (
     MarketParams,
     MarketSim,
@@ -358,3 +362,42 @@ class TestStreamStatistics:
         sim, _, cancels = flow
         expected = sim.params.cancel_prob * sim.params.session_ticks
         assert cancels == pytest.approx(expected, rel=0.15)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def mid_path(path, seed=None, tick_size=None):
+    """The packaged market alone, sampled every 50 ticks over the session:
+    (distinct mids, samples, mean quoted spread in bp over two-sided samples)."""
+    scenario = load_scenario(path, seed=seed)
+    params = scenario.market
+    if tick_size is not None:   # the same market in other ticks
+        params = replace(params, tick_size=tick_size)
+    sim = MarketSim(params, venues=scenario.venues, profile=scenario.profile)
+    book = sim.book()
+    mids, spreads = [], []
+    for _ in range(params.session_ticks // 50):
+        sim.advance(50)
+        mids.append(book.mid())
+        bid, ask = book.best_bid(), book.best_ask()
+        if bid is not None and ask is not None:
+            spreads.append((ask - bid) / ((ask + bid) / 2) * 1e4)
+    return len(set(mids) - {None}), len(mids), sum(spreads) / len(spreads)
+
+
+class TestPackagedMarketMoves:
+    """The packaged TWAP and POV scenarios trade in a market whose price moves."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["twap_quarter_day", "pov_quarter_day"])
+    def test_mid_moves_and_spread_is_plausible(self, name, seed):
+        distinct, samples, spread_bp = mid_path(SCENARIOS / f"{name}.ini", seed)
+        assert samples == 117
+        assert distinct >= 30
+        assert 2.0 <= spread_bp <= 20.0
+
+    def test_dollar_ticks_fail_the_check(self):
+        # the check can fail: the same market in 1.0 ticks barely moves
+        distinct, _, _ = mid_path(SCENARIOS / "pov_quarter_day.ini", tick_size=1.0)
+        assert distinct < 30
