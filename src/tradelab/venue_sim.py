@@ -55,6 +55,7 @@ from tradelab.orderbook import (
     OrderKind,
     Side,
     Tif,
+    _new,
 )
 
 # Enum members read per order, bound once: see the note in ``orderbook``.
@@ -62,6 +63,7 @@ _BUY = Side.BUY
 _SELL = Side.SELL
 _MARKET = OrderKind.MARKET
 _LIMIT = OrderKind.LIMIT
+_GTC = Tif.GTC
 _GTD = Tif.GTD
 
 TRADING_DAYS_PER_YEAR = 250
@@ -394,11 +396,11 @@ class MarketSim:
                 if market:
                     if (book.best_ask() if buy else book.best_bid()) is None:
                         continue
-                    order = Order(oid, side, _MARKET, qty)
+                    order = _new(Order, (oid, side, _MARKET, qty, None, None, None,
+                                         _MARKET, None, 0, _GTC, None))
                 else:
-                    order = Order(oid, side, _LIMIT, qty,
-                                  limit_price=max(1, anchor + offset),
-                                  tif=_GTD, tif_time=expiry)
+                    order = _new(Order, (oid, side, _LIMIT, qty, max(1, anchor + offset),
+                                         None, None, _MARKET, None, 0, _GTD, expiry))
                 self._submit_background(vid, order)
             if cancels is not None:
                 hit, pick = cancels[v]

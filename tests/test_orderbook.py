@@ -12,10 +12,12 @@ import pytest
 from tradelab.orderbook import (
     Disposition,
     EventLog,
+    Fill,
     Order,
     OrderBook,
     OrderKind,
     Side,
+    SubmitResult,
     Tif,
     UnknownOrderError,
 )
@@ -463,6 +465,37 @@ class TestFillRecord:
         book.submit(market("B2", Side.BUY, 100), clock=7)
         assert book.fill_count() == 5
         assert [f.maker_order_id for f in book.fills_since(4)] == ["S4"]
+
+    def test_records_equal_their_keyword_built_forms(self):
+        """The book builds fills and results as bare tuples; each equals the
+        record its constructor makes, field for field and type for type."""
+        book = OrderBook()
+        book.submit(limit("S1", Side.SELL, 51, 100), clock=1)
+        book.submit(limit("H1", Side.SELL, 51, 50, display=0), clock=2)
+        result = book.submit(market("B", Side.BUY, 150), clock=3)
+        expected = SubmitResult(fills=(
+            Fill(taker_order_id="B", maker_order_id="S1", price=51, quantity=100, time=3,
+                 taker_side=Side.BUY),
+            Fill(taker_order_id="B", maker_order_id="H1", price=51, quantity=50, time=3,
+                 taker_side=Side.BUY, maker_was_hidden=True),
+        ), disposition=Disposition.FILLED)
+        assert result == expected and result.reason is None
+        assert type(result) is SubmitResult
+        for got, want in zip(result.fills, expected.fills):
+            assert type(got) is Fill
+            assert [type(v) for v in got] == [type(v) for v in want]
+        assert book.fills_since(0) == list(result.fills)
+        resting = book.submit(limit("B2", Side.BUY, 50, 10), clock=4)
+        assert resting == SubmitResult(fills=(), disposition=Disposition.RESTING)
+        assert resting.reason is None
+
+    def test_fills_are_immutable_named_records(self):
+        fill = Fill("T", "M", 51, 100, 3, Side.BUY)
+        assert type(fill)._fields == ("taker_order_id", "maker_order_id", "price", "quantity",
+                                      "time", "taker_side", "maker_was_hidden")
+        assert fill.maker_was_hidden is False
+        with pytest.raises(AttributeError):
+            fill.quantity = 5
 
 
 class TestRejections:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tradelab.orderbook import Fill, Order, OrderKind, Side
+from tradelab.orderbook import Fill, Order, OrderBook, OrderKind, Side, Tif
 from tradelab.scenario import load_scenario
 from tradelab.venue_sim import (
     MarketParams,
@@ -296,6 +296,35 @@ class TestPerOrderState:
             filled = sum(f.quantity for f in book.fills_since(0) if f.taker_order_id == oid)
             assert filled > 0
             assert book.ledger(oid) == (400, filled, 400 - filled)
+
+
+class TestBackgroundOrders:
+    def test_orders_equal_their_keyword_built_forms(self, monkeypatch):
+        """The flow builds its orders as bare tuples; each equals the order the
+        keyword constructor makes, with every other field at its default."""
+        seen = []
+        submit = OrderBook.submit
+
+        def spy(book, order, clock=None):
+            seen.append((clock, order))
+            return submit(book, order, clock)
+
+        monkeypatch.setattr(OrderBook, "submit", spy)
+        p = params(seed=3)
+        sim = MarketSim(p, venues=[VenueConfig("A"), VenueConfig("B")])
+        seeded = len(seen)
+        sim.advance(400)
+        flow = seen[seeded:]
+        assert {order.kind for _, order in flow} == {OrderKind.MARKET, OrderKind.LIMIT}
+        for clock, order in flow:
+            if order.kind is OrderKind.MARKET:
+                want = Order(order.order_id, order.side, OrderKind.MARKET, order.quantity)
+            else:
+                want = Order(order.order_id, order.side, OrderKind.LIMIT, order.quantity,
+                             limit_price=order.limit_price, tif=Tif.GTD,
+                             tif_time=clock + p.limit_ttl)
+            assert type(order) is Order and order == want
+            assert [type(v) for v in order] == [type(v) for v in want]
 
 
 class TestStreamStatistics:
