@@ -228,6 +228,11 @@ class AlgoSpec:
             raise ValueError(f"unknown algo type {self.type!r}")
         if self.bucket_ticks <= 0:
             raise ValueError("bucket_ticks must be positive")
+        for name in ("pr", "pr_max"):   # a rate of 1 or more has no 1/(1-pr) correction
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.max_child is not None and self.max_child < 1:
+            raise ValueError("max_child must be >= 1")
 
 
 @dataclass

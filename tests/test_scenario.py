@@ -325,6 +325,18 @@ class TestRejectedThroughCli:
         assert (f"inert field [algo].{key}: type = {algo_type} never reads it"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("algo_type, key, value", [
+        ("pov", "pr", "1.5"), ("pov", "pr", "1.0"), ("pov-adaptive", "pr", "-0.1"),
+        ("pov-adaptive", "pr_max", "1.5"), ("pov-adaptive", "pr_max", "1.0"),
+        ("twap", "max_child", "-5"), ("pov", "max_child", "0"),
+    ])
+    def test_bad_algo_value_named(self, tmp_path, capsys, algo_type, key, value):
+        # these used to fail at run time naming no field (pr, pr_max), or run to
+        # exit 0 with nothing filled (max_child)
+        path = algo_case(tmp_path, algo_type, **{key: value})
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert f"invalid value for [algo].{key}: {key} must" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo_type", sorted(ALGO))
     @pytest.mark.parametrize("key", ["window_ticks", "price_limit_ticks"])
     def test_deleted_algo_keys_unknown(self, tmp_path, capsys, algo_type, key):
