@@ -143,7 +143,7 @@ def shortfall(inputs: TCAInputs) -> ISReport:
     bench = inputs.benchmark
     execution = s * (inputs.traded_value() - executed * bench)
     unexecuted = inputs.intended_qty - executed
-    opportunity = s * unexecuted * (inputs.final_price - bench)
+    opportunity = s * unexecuted * (inputs.final_price - bench) + 0   # + 0 turns -0.0 into 0.0
     total = execution + opportunity + inputs.fixed
     return ISReport(execution_cost=execution, opportunity_cost=opportunity,
                     fixed_cost=inputs.fixed, total=total, unexecuted=unexecuted)
@@ -168,7 +168,7 @@ def expanded_tc(inputs: TCAInputs) -> ISReport:
     delay = s * executed * (p0 - bench)
     trade_related = s * (inputs.traded_value() - executed * p0)
     close = inputs.final_price if inputs.session_close is None else inputs.session_close
-    opportunity = s * base.unexecuted * (close - bench)
+    opportunity = s * base.unexecuted * (close - bench) + 0
     total = delay + trade_related + opportunity + inputs.fixed
     return ISReport(execution_cost=base.execution_cost, opportunity_cost=opportunity,
                     fixed_cost=inputs.fixed, total=total, unexecuted=base.unexecuted,

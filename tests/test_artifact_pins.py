@@ -31,9 +31,9 @@ PINNED = {
           "twap_quarter_day/fills.log": "8ebef0d5f1ed95c1fe602f85642248703754a11681eaded55484a41fd5390324",
           "twap_quarter_day/frontier_arrival.txt": "eb2c5da19c560bb02a6dc64b65d3f57c720af2d07510e0a0f329424a1a0a9983",
           "twap_quarter_day/frontier_previous_close.txt": "bfdafa211edeb87c9d857ab6985576b0f7d877398a47300c98815c19833c74d3",
-          "twap_quarter_day/report.json": "c054fab1956ee8417a277e6cae3907d45fb4cab5dea256a3c0c2d91254788401",
+          "twap_quarter_day/report.json": "71e1aae75cc4b670999212c62dc1a5023492ffb8014d6948cc7f589fcdc92a22",
           "twap_quarter_day/scenario_echo.ini": "9d80180034d094c885e3a5bc68c50faed3ffcabdd0d033787b8a611c9fd95183",
-          "twap_quarter_day/tca_report.txt": "7b5d4300a4fe6a9a4509ad8b8e4b4d0184a85df5b8d96f84b858bcbbbabaca28",
+          "twap_quarter_day/tca_report.txt": "4598f696f1bba65bef4969303ccceefd035a14eec1c5afd11a429f23ee7584da",
           "pov_quarter_day/events_LIT1.log": "7389819b9ba03359bb1784047b2fd022bea7346ec5ba9a1ec17370e433916726",
           "pov_quarter_day/fills.log": "87d23265810ecaddd344a6be0431a06091ba7a31ab01f0cae0b9ead27cdec9c2",
           "pov_quarter_day/report.csv": "801a1dde6986b6f81114690edebb8f61a9fbcc9c5e27f6a1bbbbe8df00a54af4",

@@ -1,5 +1,6 @@
 """TCA benchmarks, worked shortfall fixtures, and exact decomposition identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,17 @@ def test_exact_fraction_arithmetic_passes_through():
     assert r.delay_cost == Fraction(120)
     assert r.trade_related_cost == Fraction(180)
     assert r.total == Fraction(700)
+
+
+@pytest.mark.parametrize("side", ["buy", "sell"])
+def test_full_execution_opportunity_cost_is_positive_zero(side):
+    # no shares left times a final price below the decision price is -0.0 in
+    # floats; a signed zero cost would read as a measurement in the reports
+    inputs = worked_inputs(side=side, fills=[(1000, 50.0)], final_price=49.5,
+                           arrival_price=50.0)
+    for report in (shortfall(inputs), expanded_tc(inputs)):
+        assert math.copysign(1.0, report.opportunity_cost) == 1.0
+        assert "opportunity_cost = 0.0\n" in report_text(report, side=side)
 
 
 def test_report_text_renders_all_fields():
