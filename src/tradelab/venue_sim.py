@@ -29,9 +29,9 @@ cancelled); dispatched orders keep theirs. A scenario run hands
 session runs. On one full-day session over three venues (the benchmark's
 ``heavy_day``) memory grows by 16-18 MB per run (28 MB while the books kept
 every fill, 83 MB with in-memory logs), and under Python 3.11 a run takes
-2.1 s, 2.5 s while the simulator and the book read enum members through
-their classes. The simulator's own time per background order, outside the
-book, is 10.5 µs traced (11.4 µs before; 2-core Xeon, ``perfbench/run.py``
+1.9 s, 2.1 s while fills, background orders and submit results were built
+by keyword. The simulator's own time per background order, outside the
+book, is 9.6 µs traced (9.8 µs before; 2-core Xeon, ``perfbench/run.py``
 reference seconds).
 """
 

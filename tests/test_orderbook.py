@@ -489,6 +489,14 @@ class TestFillRecord:
         assert resting == SubmitResult(fills=(), disposition=Disposition.RESTING)
         assert resting.reason is None
 
+    def test_readme_quick_start_prints_what_it_shows(self, capsys):
+        readme = (SRC.parent / "README.md").read_text()
+        block = readme.split("## Library quick start")[1].split("```python\n")[1]
+        block = block.split("```")[0]
+        shown = "".join(line[1:] for line in block.splitlines() if line.startswith("#"))
+        exec(block, {})
+        assert "".join(capsys.readouterr().out.split()) == "".join(shown.split())
+
     def test_fills_are_immutable_named_records(self):
         fill = Fill("T", "M", 51, 100, 3, Side.BUY)
         assert type(fill)._fields == ("taker_order_id", "maker_order_id", "price", "quantity",
