@@ -19,16 +19,19 @@ Conventions:
     * All operations are sequential per book instance (single writer).
     * Order ids are unique among the orders a book holds.
 
-Layout and cost: an index maps each order id to its resting entry or its
-pending order; each price level keeps its visible and hidden queues as
-insertion-ordered dicts keyed by order id; each side keeps its prices in one
-ascending list that matching reads in place. So ``cancel``, ``remaining`` and
-the best bid/ask are O(1) whatever the queue length; a market order or a
-passive limit costs the same at any book depth, plus one sorted-list insert
-or delete per price level it creates or empties; ``snapshot`` is
-O(entries returned). A submit is one pass that records each fill where it
-takes it: 11.9 µs of book time per submit under Python 3.11, 12.9 µs with
-keyword-built records (the benchmark's ``heavy_day``, traced).
+Layout and cost: an index maps each held order id to its order. A price
+level keeps its visible and hidden queues as insertion-ordered dicts from
+order id to the order's public ``SnapshotEntry`` (a visible order's display
+slice, a hidden one's remainder), and one dict maps each resting order id to
+that same entry; one dict holds each iceberg's reserve; each side keeps its
+prices in one ascending list that matching reads in place. So ``cancel``,
+``remaining`` and the best bid/ask are O(1) whatever the queue length; a
+market order or a passive limit costs the same at any book depth, plus one
+sorted-list insert or delete per price level it creates or empties.
+``snapshot`` copies each level's stored entries in C and builds only the
+omniscient view's reserve entries. A submit is one pass that records each
+fill where it takes it: 11.9 µs of book time per submit under Python 3.11,
+12.9 µs with keyword-built records (the benchmark's ``heavy_day``, traced).
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ import heapq
 import io
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple, Optional, TextIO
 
 
@@ -159,11 +163,13 @@ class SnapshotEntry(NamedTuple):
     priority: tuple[int, int]  # (timestamp, sequence)
 
 
-@dataclass(frozen=True)
-class SnapshotLevel:
+class SnapshotLevel(NamedTuple):
     price: int
     total: int
     entries: tuple[SnapshotEntry, ...]
+
+
+_quantity = itemgetter(1)   # SnapshotEntry.quantity, read in C
 
 
 @dataclass(frozen=True)
@@ -213,27 +219,16 @@ class EventLog:
 # internal book structures
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, eq=False)
-class _Resting:
-    order: Order
-    visible_qty: int   # current display slice (0 for fully hidden entries)
-    hidden_qty: int    # iceberg reserve, or the whole remainder when hidden
-    priority: tuple[int, int]   # (timestamp, sequence)
-
-    @property
-    def remaining(self) -> int:
-        return self.visible_qty + self.hidden_qty
-
-
 class _Level:
-    """One price: FIFO queues as insertion-ordered dicts, order id -> entry."""
+    """One price: FIFO queues as insertion-ordered dicts, order id -> public entry;
+    a partial fill replaces an entry in place, which keeps its queue position."""
 
     __slots__ = ("price", "visible", "hidden")
 
     def __init__(self, price: int) -> None:
         self.price = price
-        self.visible: dict[str, _Resting] = {}
-        self.hidden: dict[str, _Resting] = {}
+        self.visible: dict[str, SnapshotEntry] = {}
+        self.hidden: dict[str, SnapshotEntry] = {}
 
     @property
     def empty(self) -> bool:
@@ -268,8 +263,9 @@ class OrderBook:
         self.last_trade_price: Optional[int] = None
         self._levels: dict[Side, dict[int, _Level]] = {_BUY: {}, _SELL: {}}
         self._prices: dict[Side, list[int]] = {_BUY: [], _SELL: []}  # ascending
-        # order_id -> resting entry, or the pending stop/AON/GAT order itself
-        self._index: dict[str, _Resting | Order] = {}
+        self._index: dict[str, Order] = {}   # every held order: resting or pending
+        self._resting: dict[str, SnapshotEntry] = {}   # the entry its queue holds
+        self._reserve: dict[str, int] = {}   # iceberg id -> shares behind its slice
         self._stops: dict[str, Order] = {}   # in entry order
         self._aons: dict[str, Order] = {}
         # heap (start, seq, order); a cancelled GAT's entry stays until its start
@@ -298,10 +294,11 @@ class OrderBook:
         return (bid + ask) / 2.0
 
     def remaining(self, order_id: str) -> int:
-        held = self._index.get(order_id)
-        if held is None:
-            return 0
-        return held.remaining if isinstance(held, _Resting) else held.quantity
+        entry = self._resting.get(order_id)
+        if entry is not None:
+            return entry[1] + self._reserve.get(order_id, 0)
+        pending = self._index.get(order_id)
+        return 0 if pending is None else pending.quantity
 
     def ledger(self, order_id: str) -> tuple[int, int, int]:
         """(submitted, filled, cancelled) totals for an order id."""
@@ -506,31 +503,33 @@ class OrderBook:
         total = 0
         opp = side.opposite
         levels = self._levels[opp]
+        reserve = self._reserve
         max_disc = self._max_discretion[opp]
         for price in self._best_first(opp):
             level = levels[price]
             if self._acceptable(side, price, eff_limit):
-                total += sum(e.remaining for e in level.visible.values())
-                total += sum(e.remaining for e in level.hidden.values())
+                total += sum(map(_quantity, chain(level.visible.values(), level.hidden.values())))
+                total += sum(map(reserve.get, level.visible, repeat(0)))
                 if total >= needed:
                     return total
                 continue
             if abs(price - eff_limit) > max_disc:
                 break
-            for entry in chain(level.visible.values(), level.hidden.values()):
-                if self._reaches(entry, eff_limit):
-                    total += entry.remaining
+            for oid, shares, _, _ in chain(level.visible.values(), level.hidden.values()):
+                if self._reaches(oid, eff_limit):
+                    total += shares + reserve.get(oid, 0)
                     if total >= needed:
                         return total
         return total
 
-    def _reaches(self, entry: _Resting, eff_limit: int) -> bool:
-        disc = entry.order.discretion_offset
-        if disc <= 0 or entry.order.limit_price is None:
+    def _reaches(self, order_id: str, eff_limit: int) -> bool:
+        order = self._index[order_id]
+        disc = order.discretion_offset
+        if disc <= 0 or order.limit_price is None:
             return False
-        if entry.order.side is _SELL:
-            return entry.order.limit_price - disc <= eff_limit
-        return entry.order.limit_price + disc >= eff_limit
+        if order.side is _SELL:
+            return order.limit_price - disc <= eff_limit
+        return order.limit_price + disc >= eff_limit
 
     def _execute(self, taker: Order, qty: int, eff_limit: Optional[int]) -> tuple[list[Fill], int]:
         """Match best level first, visible before hidden; returns (fills, leftover)."""
@@ -548,9 +547,9 @@ class OrderBook:
             level = levels[price]
             visible, hidden = level.visible, level.hidden
             while qty > 0 and visible:
-                qty = take(visible, next(iter(visible.values())), False, taker, qty, price, fills)
+                qty = take(visible, next(iter(visible.values())), taker, qty, price, fills)
             while qty > 0 and hidden:
-                qty = take(hidden, next(iter(hidden.values())), True, taker, qty, price, fills)
+                qty = take(hidden, next(iter(hidden.values())), taker, qty, price, fills)
             if visible or hidden:
                 break   # the level outlasted the taker
             del levels[price]
@@ -559,30 +558,29 @@ class OrderBook:
             qty = self._consume_discretionary(taker, qty, eff_limit, fills)
         return fills, qty
 
-    def _take(self, queue: dict[str, _Resting], entry: _Resting, hidden: bool, taker: Order,
+    def _take(self, queue: dict[str, SnapshotEntry], entry: SnapshotEntry, taker: Order,
               qty: int, price: int, fills: list[Fill]) -> int:
-        """Fill up to ``qty`` from the entry's display slice (hidden remainder when
-        ``hidden``) in ``queue`` and record the fill; returns the quantity still wanted."""
-        maker_id = entry.order.order_id
-        if hidden:
-            take = min(qty, entry.hidden_qty)
-            entry.hidden_qty -= take
-            if entry.hidden_qty == 0:
-                del queue[maker_id]
-                del self._index[maker_id]
+        """Fill up to ``qty`` from the entry (a display slice or a hidden
+        remainder) in ``queue`` and record the fill; returns the quantity still wanted."""
+        maker_id, shares, hidden, priority = entry
+        if qty < shares:
+            take = qty
+            queue[maker_id] = self._resting[maker_id] = _new(
+                SnapshotEntry, (maker_id, shares - qty, hidden, priority))
         else:
-            take = min(qty, entry.visible_qty)
-            entry.visible_qty -= take
-            if entry.visible_qty == 0:
-                del queue[maker_id]
-                if entry.hidden_qty > 0:
-                    # Iceberg refresh: new display slice at the back, fresh priority.
-                    entry.visible_qty = min(entry.order.display, entry.hidden_qty)
-                    entry.hidden_qty -= entry.visible_qty
-                    entry.priority = (self.clock, self._next_seq())
-                    queue[maker_id] = entry
-                else:
-                    del self._index[maker_id]
+            take = shares
+            del queue[maker_id]
+            reserve = self._reserve.pop(maker_id, 0)
+            if reserve:
+                # Iceberg refresh: new display slice at the back, fresh priority.
+                shown = min(self._index[maker_id].display, reserve)
+                if reserve > shown:
+                    self._reserve[maker_id] = reserve - shown
+                queue[maker_id] = self._resting[maker_id] = _new(
+                    SnapshotEntry, (maker_id, shown, False, (self.clock, self._next_seq())))
+            else:
+                del self._index[maker_id]
+                del self._resting[maker_id]
         taker_id, taker_side = taker.order_id, taker.side
         fill = _new(Fill, (taker_id, maker_id, price, take, self.clock, taker_side, hidden))
         fills.append(fill)
@@ -615,14 +613,13 @@ class OrderBook:
                     return qty
                 level = levels[price]
                 entry = next((e for e in chain(level.visible.values(), level.hidden.values())
-                              if self._reaches(e, eff_limit)), None)
+                              if self._reaches(e[0], eff_limit)), None)
                 if entry is not None:
                     break
             else:
                 return qty
-            hidden = entry.order.order_id not in level.visible
-            queue = level.hidden if hidden else level.visible
-            qty = self._take(queue, entry, hidden, taker, qty, eff_limit, fills)
+            queue = level.hidden if entry.hidden else level.visible
+            qty = self._take(queue, entry, taker, qty, eff_limit, fills)
             self._drop_if_empty(opp, level)
         return qty
 
@@ -631,14 +628,20 @@ class OrderBook:
     def _rest(self, order: Order, leftover: int) -> None:
         oid, side, _, quantity, limit_price, display_quantity, _, _, _, discretion, _, _ = order
         display = min(quantity if display_quantity is None else display_quantity, leftover)
-        entry = _Resting(order, display, leftover - display, (self.clock, self._next_seq()))
+        priority = (self.clock, self._next_seq())
         levels = self._levels[side]
         level = levels.get(limit_price)
         if level is None:
             level = levels[limit_price] = _Level(limit_price)
             bisect.insort(self._prices[side], limit_price)
-        (level.visible if display > 0 else level.hidden)[oid] = entry
-        self._index[oid] = entry
+        if display > 0:
+            level.visible[oid] = entry = _new(SnapshotEntry, (oid, display, False, priority))
+            if leftover > display:
+                self._reserve[oid] = leftover - display
+        else:
+            level.hidden[oid] = entry = _new(SnapshotEntry, (oid, leftover, True, priority))
+        self._index[oid] = order
+        self._resting[oid] = entry
         if discretion > 0:
             self._max_discretion[side] = max(self._max_discretion[side], discretion)
         self._push_expiry(order)
@@ -653,17 +656,17 @@ class OrderBook:
 
     def _remove(self, order_id: str) -> tuple[Order, int]:
         """Pull an order out of the book or a pending set; returns (order, qty removed)."""
-        held = self._index.pop(order_id, None)
-        if held is None:
+        order = self._index.pop(order_id, None)
+        if order is None:
             raise UnknownOrderError(order_id)
-        if isinstance(held, _Resting):
-            order, removed = held.order, held.remaining
+        entry = self._resting.pop(order_id, None)
+        if entry is not None:
+            removed = entry.quantity + self._reserve.pop(order_id, 0)
             level = self._levels[order.side][order.limit_price]
-            if level.visible.pop(order_id, None) is None:
-                del level.hidden[order_id]
+            del (level.hidden if entry.hidden else level.visible)[order_id]
             self._drop_if_empty(order.side, level)
         else:
-            order, removed = held, held.quantity
+            removed = order.quantity
             # A GAT order is in neither dict: expire skips its heap entry.
             if self._stops.pop(order_id, None) is None:
                 self._aons.pop(order_id, None)
@@ -682,11 +685,8 @@ class OrderBook:
         expired: list[str] = []
         while self._expiries and self._expiries[0][0] <= self.clock:
             _, order_id = heapq.heappop(self._expiries)
-            held = self._index.get(order_id)
-            if held is None:
-                continue
-            order = held.order if isinstance(held, _Resting) else held
-            if not self._is_expired(order):
+            order = self._index.get(order_id)
+            if order is None or not self._is_expired(order):
                 continue
             _, removed = self._remove(order_id)
             if self.log is not None:
@@ -773,6 +773,11 @@ class OrderBook:
     # -- views ----------------------------------------------------------------
 
     def snapshot(self, depth: Optional[int] = None, visibility: str = "public") -> BookSnapshot:
+        """The best ``depth`` levels per side (``None``: all), public or omniscient."""
+        if depth is not None and depth < 0:
+            raise ValueError(f"depth must be >= 0 or None, got {depth}")
+        if visibility not in ("public", "omniscient"):
+            raise ValueError(f"visibility must be 'public' or 'omniscient', got {visibility!r}")
         omniscient = visibility == "omniscient"
         bids = self._side_view(_BUY, depth, omniscient)
         asks = self._side_view(_SELL, depth, omniscient)
@@ -783,22 +788,19 @@ class OrderBook:
 
     def _side_view(self, side: Side, depth: Optional[int], omniscient: bool):
         levels = self._levels[side]
+        reserve = self._reserve
         out = []
         for price in self._best_first(side):
-            level = levels[price]
-            entries = [_new(SnapshotEntry, (oid, e.visible_qty, False, e.priority))
-                       for oid, e in level.visible.items()]
-            if omniscient:
-                entries += [_new(SnapshotEntry, (oid, e.hidden_qty, True, e.priority))
-                            for oid, e in level.visible.items() if e.hidden_qty > 0]
-                entries += [_new(SnapshotEntry, (oid, e.hidden_qty, True, e.priority))
-                            for oid, e in level.hidden.items()]
-            if not entries:
-                continue
-            out.append(SnapshotLevel(price=price, total=sum(e.quantity for e in entries),
-                                     entries=tuple(entries)))
-            if depth is not None and len(out) >= depth:
+            if len(out) == depth:
                 break
+            level = levels[price]
+            entries = tuple(level.visible.values())
+            if omniscient:
+                entries += (*[_new(SnapshotEntry, (oid, reserve[oid], True, priority))
+                              for oid, _, _, priority in entries if oid in reserve],
+                            *level.hidden.values())
+            if entries:
+                out.append(_new(SnapshotLevel, (price, sum(map(_quantity, entries)), entries)))
         return tuple(out)
 
     # -- invariant checks (used by property tests) ----------------------------
@@ -815,17 +817,23 @@ class OrderBook:
                 level = self._levels[side][price]
                 if level.empty:
                     raise AssertionError(f"empty level retained at {price}")
-                keys = [e.priority for e in level.visible.values()]
-                if keys != sorted(keys):
-                    raise AssertionError("visible queue violates time priority")
-                hkeys = [e.priority for e in level.hidden.values()]
-                if hkeys != sorted(hkeys):
-                    raise AssertionError("hidden queue violates time priority")
-                for oid, e in chain(level.visible.items(), level.hidden.items()):
-                    if e.remaining <= 0:
-                        raise AssertionError("resting order with zero remaining")
-                    if self._index.get(oid) is not e:
-                        raise AssertionError(f"index does not point at {oid}")
+                for queue, hidden in ((level.visible, False), (level.hidden, True)):
+                    keys = [e.priority for e in queue.values()]
+                    if keys != sorted(keys):
+                        raise AssertionError("queue violates time priority")
+                    for oid, e in queue.items():
+                        if e.quantity <= 0 or e.order_id != oid or e.hidden is not hidden:
+                            raise AssertionError(f"bad entry for {oid}")
+                        if self._resting.get(oid) is not e or oid not in self._index:
+                            raise AssertionError(f"index does not point at {oid}")
+        queued = sum(len(lvl.visible) + len(lvl.hidden) for lvls in self._levels.values()
+                     for lvl in lvls.values())
+        if queued != len(self._resting):
+            raise AssertionError("resting index and queues differ in size")
+        for oid, shares in self._reserve.items():
+            entry = self._resting.get(oid)
+            if shares <= 0 or entry is None or entry.hidden:
+                raise AssertionError(f"bad iceberg reserve for {oid}")
         visible_bid, visible_ask = self._best_visible(_BUY), self._best_visible(_SELL)
         if visible_bid is not None and visible_ask is not None and visible_bid >= visible_ask:
             raise AssertionError("crossed visible book at rest")

@@ -304,7 +304,9 @@ class MarketSim:
                 self._background_flow(row)
 
     def run_session(self) -> None:
-        self.advance(self.params.session_ticks - self.clock)
+        """Advance to the session close; a no-op once the clock is there."""
+        if self.clock < self.params.session_ticks:
+            self.advance(self.params.session_ticks - self.clock)
 
     def _draw_block(self) -> None:
         """Draw the flow of the next ``BLOCK_TICKS`` ticks, from the current one on.

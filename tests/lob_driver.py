@@ -5,6 +5,9 @@ orders, IOC/FOK/AON instructions, stops, dated orders and cancels against a
 fresh book, asserting after every operation:
 
   * structural invariants (sorted levels, FIFO queues, no crossed visible book)
+  * consistent views: each level's total is the sum of its entries, the
+    public entries are the omniscient ones not hidden, in the same order, and
+    each resting order's remaining quantity is the sum of its omniscient entries
   * price-time priority of the produced fills, visible-before-hidden at a price
   * share conservation: submitted == filled + cancelled + remaining, per order
   * a submit's returned fills lead the book's fill record of that submit
@@ -16,6 +19,7 @@ fresh book, asserting after every operation:
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import replace
 
 from tradelab.orderbook import (
@@ -172,6 +176,25 @@ def _check_conservation(book: OrderBook, orders) -> None:
                 f"{filled}+{cancelled}+{resting}")
 
 
+def _check_views(book: OrderBook) -> None:
+    public = book.snapshot()
+    omni = book.snapshot(visibility="omniscient")
+    held = defaultdict(int)
+    for pub_levels, omni_levels in ((public.bids, omni.bids), (public.asks, omni.asks)):
+        for lvl in pub_levels + omni_levels:
+            if lvl.total != sum(e.quantity for e in lvl.entries):
+                raise PropertyViolation(f"level {lvl.price}: total is not the sum of entries")
+        shown = [(lvl.price, e) for lvl in pub_levels for e in lvl.entries]
+        if shown != [(lvl.price, e) for lvl in omni_levels for e in lvl.entries if not e.hidden]:
+            raise PropertyViolation("public entries differ from the omniscient visible ones")
+        for lvl in omni_levels:
+            for e in lvl.entries:
+                held[e.order_id] += e.quantity
+    for oid, quantity in held.items():
+        if book.remaining(oid) != quantity:
+            raise PropertyViolation(f"remaining({oid}) is not the sum of its entries")
+
+
 def _check_refill_priority(book: OrderBook, pre_map) -> None:
     post = _priority_map(book)
     for key, (pre_visible, _, pre_keys) in pre_map.items():
@@ -211,6 +234,7 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
             ops.append(("submit", order, clock))
         _apply(book, ops[-1], orders)
         book.check_invariants()
+        _check_views(book)
         _check_conservation(book, orders)
     return ops, book.fills_since(0)
 

@@ -1,6 +1,7 @@
 """Matching-engine semantics: golden book scenarios and order-type contracts."""
 
 import ast
+import copy
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from tradelab.orderbook import (
     OrderBook,
     OrderKind,
     Side,
+    SnapshotEntry,
+    SnapshotLevel,
     SubmitResult,
     Tif,
     UnknownOrderError,
@@ -738,6 +741,78 @@ class TestIndexedLayout:
         book.cancel("X")
         assert book.submit(limit("X", Side.SELL, 52, 50), clock=3).disposition \
             is Disposition.RESTING
+
+
+class TestStoredEntries:
+    """The queues hold each order's public entry, and a snapshot hands those out."""
+
+    def build(self):
+        book = OrderBook(session_close=1_000)
+        book.submit(limit("ICE", Side.SELL, 51, 1_000, display=200), clock=1)
+        book.submit(limit("S1", Side.SELL, 51, 300), clock=2)
+        book.submit(limit("HID", Side.SELL, 51, 400, display=0), clock=3)
+        book.submit(limit("S2", Side.SELL, 52, 500, tif=Tif.GTD, tif_time=50), clock=4)
+        book.submit(limit("B1", Side.BUY, 49, 600), clock=5)
+        return book
+
+    def test_snapshots_keep_their_values_through_later_events(self):
+        book = self.build()
+        events = [
+            lambda: book.submit(market("M1", Side.BUY, 100), clock=10),   # ICE's slice, in part
+            lambda: book.submit(market("M2", Side.BUY, 200), clock=11),   # ICE refills, S1 in part
+            lambda: book.cancel("S1"),
+            lambda: book.expire(50),                                      # S2 expires
+        ]
+        taken = []
+        for event in events:
+            views = [book.snapshot(), book.snapshot(visibility="omniscient")]
+            taken += [(view, copy.deepcopy(view)) for view in views]
+            event()
+            assert [book.snapshot(), book.snapshot(visibility="omniscient")] != views
+            for view, recorded in taken:
+                assert view == recorded
+        assert book.order_ids() == {"ICE", "HID", "B1"}
+        book.check_invariants()
+
+    def test_partial_fill_keeps_the_queue_position_and_priority(self):
+        book = self.build()
+        before = book.snapshot().asks[0].entries
+        book.submit(market("M1", Side.BUY, 100), clock=10)
+        after = book.snapshot().asks[0].entries
+        assert [e.order_id for e in after] == ["ICE", "S1"]
+        assert after[0] == before[0]._replace(quantity=100)
+        assert after[1] is before[1]
+
+    def test_snapshot_records_equal_their_keyword_built_forms(self):
+        book = self.build()
+        book.submit(market("M2", Side.BUY, 500), clock=11)   # ICE refilled, S1 gone
+        level = book.snapshot(visibility="omniscient").asks[0]
+        ice = next(e for e in level.entries if e.order_id == "ICE" and not e.hidden)
+        built = SnapshotLevel(price=51, total=1_200, entries=(
+            SnapshotEntry(order_id="ICE", quantity=200, hidden=False, priority=ice.priority),
+            SnapshotEntry(order_id="ICE", quantity=600, hidden=True, priority=ice.priority),
+            SnapshotEntry(order_id="HID", quantity=400, hidden=True, priority=(3, 3)),
+        ))
+        assert level == built
+        assert type(level) is SnapshotLevel
+        assert [type(e) for e in level.entries] == [SnapshotEntry] * 3
+        assert type(level)._fields == ("price", "total", "entries")
+        with pytest.raises(AttributeError):
+            level.total = 0
+        with pytest.raises(AttributeError):
+            level.entries[0].quantity = 0
+
+    def test_depth_zero_returns_no_levels(self):
+        snap = self.build().snapshot(depth=0, visibility="omniscient")
+        assert (snap.bids, snap.asks) == ((), ())
+
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            self.build().snapshot(depth=-3)
+
+    def test_unknown_visibility_is_rejected(self):
+        with pytest.raises(ValueError, match="visibility"):
+            self.build().snapshot(visibility="bogus")
 
 
 class TestInvariantCheck:

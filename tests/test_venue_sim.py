@@ -168,6 +168,18 @@ class TestAdvance:
         with pytest.raises(ValueError):
             MarketSim(params()).advance(0)
 
+    def test_run_session_at_the_close_is_a_no_op(self):
+        sim = MarketSim(params(seed=2, session_ticks=300))
+        sim.run_session()
+        state = (sim.clock, sim.mid(), sim.book().fill_count(), sim.book().log.to_text())
+        sim.run_session()
+        assert (sim.clock, sim.mid(), sim.book().fill_count(),
+                sim.book().log.to_text()) == state
+        assert state[0] == 300 and state[2] > 0
+        sim.advance(5)   # past the close, run_session still does nothing
+        sim.run_session()
+        assert sim.clock == 305
+
     def test_bucket_realization_tightens_with_intensity(self):
         # per-bucket shares converge to z_j as the flow intensity grows
         profile = u_shape_profile(13)
