@@ -294,11 +294,12 @@ class OrderBook:
         return (bid + ask) / 2.0
 
     def remaining(self, order_id: str) -> int:
+        if order_id not in self._index:   # an id the book no longer holds: one lookup
+            return 0
         entry = self._resting.get(order_id)
-        if entry is not None:
-            return entry[1] + self._reserve.get(order_id, 0)
-        pending = self._index.get(order_id)
-        return 0 if pending is None else pending.quantity
+        if entry is None:
+            return self._index[order_id].quantity   # pending
+        return entry[1] + self._reserve.get(order_id, 0)
 
     def ledger(self, order_id: str) -> tuple[int, int, int]:
         """(submitted, filled, cancelled) totals for an order id."""
