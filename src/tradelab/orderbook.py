@@ -571,12 +571,14 @@ class OrderBook:
         else:
             take = shares
             del queue[maker_id]
-            reserve = self._reserve.pop(maker_id, 0)
+            reserve = self._reserve.get(maker_id)
             if reserve:
-                # Iceberg refresh: new display slice at the back, fresh priority.
-                shown = min(self._index[maker_id].display, reserve)
+                # Iceberg refresh: a new display_quantity slice at the back, fresh priority.
+                shown = min(self._index[maker_id].display_quantity, reserve)
                 if reserve > shown:
                     self._reserve[maker_id] = reserve - shown
+                else:
+                    del self._reserve[maker_id]
                 queue[maker_id] = self._resting[maker_id] = _new(
                     SnapshotEntry, (maker_id, shown, False, (self.clock, self._next_seq())))
             else:
@@ -697,10 +699,11 @@ class OrderBook:
         activated = False
         while self._gats and self._gats[0][0] <= self.clock:
             _, _, order = heapq.heappop(self._gats)
-            if self._index.get(order.order_id) is not order:
-                continue   # cancelled before its start
-            del self._index[order.order_id]
-            self._log("trigger", order.order_id, order.side._value_, order.limit_price,
+            oid = order.order_id
+            if self._index.get(oid) is not order or oid in self._resting or oid in self._stops:
+                continue   # cancelled before its start, or a resubmission already activated
+            del self._index[oid]
+            self._log("trigger", oid, order.side._value_, order.limit_price,
                       order.quantity, "kind=gat")
             self._enter(order)
             activated = True

@@ -689,6 +689,41 @@ class TestIndexedLayout:
         assert sum(line.startswith("trigger|200|GAT|") for line in log.lines) == 1
         assert book.ledger("GAT") == (700, 300, 400)
 
+    def test_resubmitted_gat_activates_once_and_rests_its_leftover(self):
+        log = EventLog()
+        book = OrderBook(log=log)
+        book.submit(limit("S1", Side.SELL, 51, 60), clock=1)
+        gat = limit("GAT", Side.BUY, 51, 100, tif=Tif.GAT, tif_time=10)
+        book.submit(gat, clock=2)
+        book.cancel("GAT")
+        book.submit(gat, clock=3)   # the same object: two heap entries, one live order
+        book.expire(10)
+        assert sum(line.startswith("trigger|10|GAT|") for line in log.lines) == 1
+        assert book.remaining("GAT") == 40
+        submitted, filled, cancelled = book.ledger("GAT")
+        assert (submitted, filled, cancelled) == (200, 60, 100)
+        assert submitted == filled + cancelled + book.remaining("GAT")
+        assert [(e.order_id, e.quantity) for e in book.snapshot().bids[0].entries] == [
+            ("GAT", 40)]
+        book.check_invariants()
+
+    def test_resubmitted_gat_stop_triggers_once(self):
+        log = EventLog()
+        book = OrderBook(log=log)
+        book.submit(limit("S1", Side.SELL, 51, 60), clock=1)
+        book.submit(limit("B1", Side.BUY, 51, 10), clock=1)   # last trade at 51
+        stop = Order("GAT", Side.BUY, OrderKind.STOP, 100, stop_price=60, tif=Tif.GAT,
+                     tif_time=10)
+        book.submit(stop, clock=2)
+        book.cancel("GAT")
+        book.submit(stop, clock=3)
+        book.expire(10)
+        assert sum(line.startswith("trigger|10|GAT|") for line in log.lines) == 1
+        assert book.snapshot(visibility="omniscient").pending_stops == ("GAT",)
+        assert book.remaining("GAT") == 100
+        assert book.ledger("GAT") == (200, 0, 100)
+        book.check_invariants()
+
     def test_iceberg_refill_after_mid_queue_cancel_goes_to_the_back(self):
         book = OrderBook()
         book.submit(limit("ICE", Side.SELL, 51, 1_000, display=100), clock=1)
