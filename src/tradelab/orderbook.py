@@ -221,14 +221,16 @@ class EventLog:
 
 class _Level:
     """One price: FIFO queues as insertion-ordered dicts, order id -> public entry;
-    a partial fill replaces an entry in place, which keeps its queue position."""
+    a partial fill replaces an entry in place, which keeps its queue position.
+    ``shown`` is the sum of the visible entries' shares, the public level total."""
 
-    __slots__ = ("price", "visible", "hidden")
+    __slots__ = ("price", "visible", "hidden", "shown")
 
     def __init__(self, price: int) -> None:
         self.price = price
         self.visible: dict[str, SnapshotEntry] = {}
         self.hidden: dict[str, SnapshotEntry] = {}
+        self.shown = 0
 
     @property
     def empty(self) -> bool:
@@ -509,7 +511,7 @@ class OrderBook:
         for price in self._best_first(opp):
             level = levels[price]
             if self._acceptable(side, price, eff_limit):
-                total += sum(map(_quantity, chain(level.visible.values(), level.hidden.values())))
+                total += level.shown + sum(map(_quantity, level.hidden.values()))
                 total += sum(map(reserve.get, level.visible, repeat(0)))
                 if total >= needed:
                     return total
@@ -548,9 +550,9 @@ class OrderBook:
             level = levels[price]
             visible, hidden = level.visible, level.hidden
             while qty > 0 and visible:
-                qty = take(visible, next(iter(visible.values())), taker, qty, price, fills)
+                qty = take(level, next(iter(visible.values())), taker, qty, price, fills)
             while qty > 0 and hidden:
-                qty = take(hidden, next(iter(hidden.values())), taker, qty, price, fills)
+                qty = take(level, next(iter(hidden.values())), taker, qty, price, fills)
             if visible or hidden:
                 break   # the level outlasted the taker
             del levels[price]
@@ -559,28 +561,31 @@ class OrderBook:
             qty = self._consume_discretionary(taker, qty, eff_limit, fills)
         return fills, qty
 
-    def _take(self, queue: dict[str, SnapshotEntry], entry: SnapshotEntry, taker: Order,
+    def _take(self, level: _Level, entry: SnapshotEntry, taker: Order,
               qty: int, price: int, fills: list[Fill]) -> int:
         """Fill up to ``qty`` from the entry (a display slice or a hidden
-        remainder) in ``queue`` and record the fill; returns the quantity still wanted."""
+        remainder) at ``level`` and record the fill; returns the quantity still wanted."""
         maker_id, shares, hidden, priority = entry
-        if qty < shares:
-            take = qty
+        take = qty if qty < shares else shares
+        queue = level.hidden if hidden else level.visible
+        if not hidden:
+            level.shown -= take
+        if take < shares:
             queue[maker_id] = self._resting[maker_id] = _new(
-                SnapshotEntry, (maker_id, shares - qty, hidden, priority))
+                SnapshotEntry, (maker_id, shares - take, hidden, priority))
         else:
-            take = shares
             del queue[maker_id]
             reserve = self._reserve.get(maker_id)
             if reserve:
                 # Iceberg refresh: a new display_quantity slice at the back, fresh priority.
-                shown = min(self._index[maker_id].display_quantity, reserve)
-                if reserve > shown:
-                    self._reserve[maker_id] = reserve - shown
+                peak = min(self._index[maker_id].display_quantity, reserve)
+                if reserve > peak:
+                    self._reserve[maker_id] = reserve - peak
                 else:
                     del self._reserve[maker_id]
+                level.shown += peak
                 queue[maker_id] = self._resting[maker_id] = _new(
-                    SnapshotEntry, (maker_id, shown, False, (self.clock, self._next_seq())))
+                    SnapshotEntry, (maker_id, peak, False, (self.clock, self._next_seq())))
             else:
                 del self._index[maker_id]
                 del self._resting[maker_id]
@@ -621,8 +626,7 @@ class OrderBook:
                     break
             else:
                 return qty
-            queue = level.hidden if entry.hidden else level.visible
-            qty = self._take(queue, entry, taker, qty, eff_limit, fills)
+            qty = self._take(level, entry, taker, qty, eff_limit, fills)
             self._drop_if_empty(opp, level)
         return qty
 
@@ -639,6 +643,7 @@ class OrderBook:
             bisect.insort(self._prices[side], limit_price)
         if display > 0:
             level.visible[oid] = entry = _new(SnapshotEntry, (oid, display, False, priority))
+            level.shown += display
             if leftover > display:
                 self._reserve[oid] = leftover - display
         else:
@@ -667,6 +672,7 @@ class OrderBook:
             removed = entry.quantity + self._reserve.pop(order_id, 0)
             level = self._levels[order.side][order.limit_price]
             del (level.hidden if entry.hidden else level.visible)[order_id]
+            level.shown -= 0 if entry.hidden else entry.quantity
             self._drop_if_empty(order.side, level)
         else:
             removed = order.quantity
@@ -799,12 +805,14 @@ class OrderBook:
                 break
             level = levels[price]
             entries = tuple(level.visible.values())
+            total = level.shown
             if omniscient:
                 entries += (*[_new(SnapshotEntry, (oid, reserve[oid], True, priority))
                               for oid, _, _, priority in entries if oid in reserve],
                             *level.hidden.values())
+                total = sum(map(_quantity, entries))
             if entries:
-                out.append(_new(SnapshotLevel, (price, sum(map(_quantity, entries)), entries)))
+                out.append(_new(SnapshotLevel, (price, total, entries)))
         return tuple(out)
 
     # -- invariant checks (used by property tests) ----------------------------
@@ -830,6 +838,8 @@ class OrderBook:
                             raise AssertionError(f"bad entry for {oid}")
                         if self._resting.get(oid) is not e or oid not in self._index:
                             raise AssertionError(f"index does not point at {oid}")
+                if level.shown != sum(e.quantity for e in level.visible.values()):
+                    raise AssertionError(f"shown shares at {price} differ from the visible entries")
         queued = sum(len(lvl.visible) + len(lvl.hidden) for lvls in self._levels.values()
                      for lvl in lvls.values())
         if queued != len(self._resting):
