@@ -2,7 +2,8 @@
 
 Each sequence submits a seeded mix of plain/iceberg/hidden limits, market
 orders, IOC/FOK/AON instructions, stops, dated orders and cancels against a
-fresh book, asserting after every operation:
+fresh book, and now and then resubmits the id of an order the book no longer
+holds (the same order or a new one), asserting after every operation:
 
   * structural invariants (sorted levels, FIFO queues, no crossed visible book)
   * consistent views: each level's total is the sum of its entries, the
@@ -10,8 +11,12 @@ fresh book, asserting after every operation:
     each resting order's remaining quantity is the sum of its omniscient entries
   * price-time priority of the produced fills, visible-before-hidden at a price
   * share conservation: submitted == filled + cancelled + remaining, per order
+    id, over the ledger summed across every submission of the id
   * a submit's returned fills lead the book's fill record of that submit
   * FOK atomicity (book state untouched by an unfillable FOK)
+  * FOK and AON feasibility against an oracle that sums the omniscient
+    entries the order could cross: an FOK is cancelled exactly when they fall
+    short of its size, and no pending AON could fill
   * iceberg refills losing time priority
   * determinism: replaying the identical sequence reproduces fills and state
 """
@@ -166,14 +171,43 @@ def _check_fill_sequence(taker: Order, fills, pre_map, orders) -> None:
                 f"hidden time priority violated at {price}: {hseen} vs {hexpected}")
 
 
-def _check_conservation(book: OrderBook, orders) -> None:
-    for oid in orders:
+def _check_conservation(book: OrderBook, submitted_by_id) -> None:
+    for oid, shares in submitted_by_id.items():
         submitted, filled, cancelled = book.ledger(oid)
         resting = book.remaining(oid)
+        if submitted != shares:
+            raise PropertyViolation(f"{oid}: ledger holds {submitted} submitted, not {shares}")
         if submitted != filled + cancelled + resting:
             raise PropertyViolation(
                 f"conservation broken for {oid}: {submitted} != "
                 f"{filled}+{cancelled}+{resting}")
+
+
+def _crossable_shares(taker: Order, omni, orders) -> int:
+    """Shares ``taker`` could cross in the omniscient snapshot ``omni``.
+
+    An entry counts when its price lies within the taker's discretion-widened
+    limit, or when its own order's discretion (read from ``orders``) reaches
+    that limit: at a buy taker's limit L, a sell resting at P with discretion
+    d trades when P - d <= L.
+    """
+    buy = taker.side is Side.BUY
+    levels = omni.asks if buy else omni.bids
+    if taker.limit_price is None:
+        return sum(lvl.total for lvl in levels)
+    sign = 1 if buy else -1
+    limit = taker.limit_price + sign * taker.discretion_offset
+    return sum(e.quantity for lvl in levels for e in lvl.entries
+               if sign * (lvl.price - limit) <= orders[e.order_id].discretion_offset)
+
+
+def _check_pending_aons(book: OrderBook, orders) -> None:
+    omni = book.snapshot(visibility="omniscient")
+    for oid in omni.pending_aons:
+        order = orders[oid]
+        could = _crossable_shares(order, omni, orders)
+        if could >= order.quantity:
+            raise PropertyViolation(f"pending AON {oid} could fill: {could} >= {order.quantity}")
 
 
 def _check_views(book: OrderBook) -> None:
@@ -217,12 +251,14 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
     rng = random.Random(seed)
     book = OrderBook(session_close=10_000, log=EventLog())
     ops: list[tuple] = []
-    orders: dict[str, Order] = {}
+    orders: dict[str, Order] = {}   # each id's latest submission
+    submitted_by_id: dict[str, int] = defaultdict(int)
     clock = 0
     for step in range(n_ops):
         clock += rng.randint(0, 3)
         roll = rng.random()
         live = sorted(book.order_ids())
+        gone = sorted(set(orders).difference(live))   # filled, cancelled or expired
         if roll < 0.12 and live:
             target = rng.choice(live)
             ops.append(("cancel", target, clock))
@@ -230,12 +266,17 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
             ops.append(("expire", clock))
         else:
             order = _random_order(rng, step, book)
+            if roll < 0.26 and gone:   # resubmit an id: the same order, or a new one
+                oid = rng.choice(gone)
+                order = orders[oid] if rng.random() < 0.5 else order._replace(order_id=oid)
             orders[order.order_id] = order
+            submitted_by_id[order.order_id] += order.quantity
             ops.append(("submit", order, clock))
         _apply(book, ops[-1], orders)
         book.check_invariants()
         _check_views(book)
-        _check_conservation(book, orders)
+        _check_conservation(book, submitted_by_id)
+        _check_pending_aons(book, orders)
     return ops, book.fills_since(0)
 
 
@@ -254,6 +295,11 @@ def _apply(book: OrderBook, op: tuple, orders) -> None:
             raise PropertyViolation(f"{order.order_id}: result fills differ from the book's")
         _check_fill_sequence(order, result.fills, pre_map, orders)
         _check_refill_priority(book, pre_map)
+        if order.tif is Tif.FOK and result.disposition is not Disposition.REJECTED:
+            could = _crossable_shares(order, pre_snap, orders)
+            if (result.disposition is Disposition.CANCELLED) != (could < order.quantity):
+                raise PropertyViolation(f"FOK {order.order_id} for {order.quantity} was "
+                                        f"{result.disposition.value} with {could} crossable")
         if order.tif is Tif.FOK and result.disposition is Disposition.CANCELLED:
             if result.fills:
                 raise PropertyViolation("cancelled FOK produced fills")

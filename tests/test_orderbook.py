@@ -859,18 +859,29 @@ class TestInvariantCheck:
         for oid, price in (("B5", 5), ("B4", 4)):
             book.submit(Order(oid, Side.BUY, OrderKind.LIMIT, 10, limit_price=price), clock=1)
         book.check_invariants()
-        book._prices[Side.BUY].reverse()
+        {breakage}
         book.check_invariants()
     """)
 
-    @pytest.mark.parametrize("flags", [[], ["-O"]])
-    def test_out_of_order_price_index_fails(self, flags):
+    @staticmethod
+    def _run(breakage: str, flags: list[str]) -> subprocess.CompletedProcess:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, *flags, "-c", self.REPRO], env=env,
+        repro = TestInvariantCheck.REPRO.format(breakage=breakage)
+        return subprocess.run([sys.executable, *flags, "-c", repro], env=env,
                               capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_out_of_order_price_index_fails(self, flags):
+        done = self._run("book._prices[Side.BUY].reverse()", flags)
         assert done.returncode == 1
         assert "AssertionError: price index out of order" in done.stderr
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_shown_off_by_one_fails(self, flags):
+        done = self._run("book._levels[Side.BUY][5].shown += 1", flags)
+        assert done.returncode == 1
+        assert "AssertionError: shown shares at 5 differ from the visible entries" in done.stderr
 
 
 ENUMS = {cls.__name__: set(cls.__members__) for cls in (Side, OrderKind, Tif, Disposition)}
