@@ -296,15 +296,15 @@ def _apply(book: OrderBook, op: tuple, orders) -> None:
         _check_fill_sequence(order, result.fills, pre_map, orders)
         _check_refill_priority(book, pre_map)
         if order.tif is Tif.FOK and result.disposition is not Disposition.REJECTED:
+            cancelled = result.disposition is Disposition.CANCELLED
             could = _crossable_shares(order, pre_snap, orders)
-            if (result.disposition is Disposition.CANCELLED) != (could < order.quantity):
+            if cancelled != (could < order.quantity):
                 raise PropertyViolation(f"FOK {order.order_id} for {order.quantity} was "
                                         f"{result.disposition.value} with {could} crossable")
-        if order.tif is Tif.FOK and result.disposition is Disposition.CANCELLED:
-            if result.fills:
+            if cancelled and result.fills:
                 raise PropertyViolation("cancelled FOK produced fills")
-            post = book.snapshot(visibility="omniscient")
-            if replace(post, clock=0) != replace(pre_snap, clock=0):
+            if cancelled and replace(book.snapshot(visibility="omniscient"), clock=0) \
+                    != replace(pre_snap, clock=0):
                 raise PropertyViolation("failed FOK mutated the book")
     elif op[0] == "cancel":
         _, target, clock = op
