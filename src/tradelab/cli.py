@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
     p_run.add_argument("--out", type=Path, default=None, help="output directory")
-    p_run.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="report format")
 
     p_replay = sub.add_parser("replay-fixtures", help="replay golden book fixtures")
     p_replay.add_argument("--dir", type=Path, default=None,
@@ -64,7 +62,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             scenario = load_scenario(args.scenario, seed=args.seed)
             out = args.out or _default_out(scenario, args.scenario)
-            report = harness.run(scenario, out, report_format=args.format)
+            report = harness.run(scenario, out)
             print(f"run complete: {report.filled} filled, "
                   f"{report.residual} residual -> {out}")
             return EXIT_OK

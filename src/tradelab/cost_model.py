@@ -51,7 +51,7 @@ class ImpactParams:
     price: float
     order_size: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.adv <= 0:
             raise ValueError("adv must be positive")
         if not 0.0 <= self.temp_fraction <= 1.0:
@@ -72,7 +72,6 @@ class RateCoefficients:
 
     @classmethod
     def from_params(cls, params: ImpactParams) -> "RateCoefficients":
-        params.validate()
         total = impact_total(params)
         if params.order_size == 0:
             return cls(total_impact=0.0, temp_coeff=0.0, perm_coeff=0.0)
@@ -91,7 +90,7 @@ class RiskParams:
     sigma: float
     horizon_fraction: float   # s: trading horizon as a fraction of a year
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.horizon_fraction <= 0:
             raise ValueError("horizon_fraction must be positive")
         if self.sigma < 0 or self.order_size < 0:
@@ -100,7 +99,6 @@ class RiskParams:
 
 def impact_total(params: ImpactParams) -> float:
     """Whole-order impact cost: scale * (X/ADV)^a2 * sigma^a3 * X * price."""
-    params.validate()
     x = params.order_size
     if x == 0:
         return 0.0
@@ -176,7 +174,6 @@ def risk_schedule(residuals: Sequence[float], sigma: float, price: float,
 
 def risk_rate(alpha: float, risk: RiskParams) -> float:
     """Timing risk at a constant rate: price*X*sigma*sqrt(s/(3*alpha))."""
-    risk.validate()
     if alpha <= 0:
         raise ValueError("alpha must be positive (risk diverges at zero)")
     if risk.sigma == 0 or risk.order_size == 0:

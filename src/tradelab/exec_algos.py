@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from tradelab import tactics
-from tradelab.orderbook import Order, OrderKind, Side, Tif
+from tradelab.orderbook import Order, OrderBook, OrderKind, Side, Tif
 from tradelab.venue_sim import MarketSim, VolumeProfile, settle_fees
 
 
@@ -271,37 +271,38 @@ class ExecutionTrace:
 
 
 class _ChildTracker:
-    """Names child orders, harvests their fills, and tracks exposure.
+    """Names child orders, harvests their fills, and tracks the working ones.
 
-    ``harvest`` reads each venue's book through its own cursor and drops
-    the fills it has read, so a book holds only the fills since the last
-    harvest. ``volume`` and ``other_volume`` accumulate all and non-own
-    traded volume as fills are harvested, so POV sizing and overfill guards
-    see a gap-free view of the stream.
+    ``ids`` maps every child id to its submission index, to attribute and
+    order own fills. ``working`` maps each child that may still trade to its
+    book and quantity; every child is a market order or an IOC limit, so it
+    holds only children in flight or just arrived. A child whose ledger
+    shows nothing left is retired: dropped, and its ledger released.
+    ``harvest`` drops the fills it has read from each book. ``volume`` and
+    ``other_volume`` accumulate all and non-own traded volume as fills are
+    harvested, so POV sizing sees a gap-free view of the stream.
     """
 
     def __init__(self, sim: MarketSim):
         self.sim = sim
         self.ids: dict[str, int] = {}   # child id -> submission index
-        self.submitted = 0
+        self.working: dict[str, tuple[OrderBook, int]] = {}   # child id -> (book, quantity)
         self.volume = 0
         self.other_volume = 0
         self.wiring = ExecutionWiring()
         self.slice_rng: Optional[np.random.Generator] = None
         self.count_side: Optional[Side] = None   # POV one-sided volume measurement
-        self._count = 0
         self._cursors = {vid: book.fill_count() for vid, book in sim.books.items()}
 
     def next_id(self) -> str:
-        self._count += 1
-        return f"child-{self._count:04d}"
+        return f"child-{len(self.ids) + 1:04d}"
 
-    def register(self, order: Order) -> None:
+    def register(self, order: Order, book: OrderBook) -> None:
         self.ids[order.order_id] = len(self.ids)
-        self.submitted += order.quantity
+        self.working[order.order_id] = (book, order.quantity)
 
-    def harvest(self, trace: ExecutionTrace) -> int:
-        """Pull new own fills into the trace; returns newly filled quantity.
+    def harvest(self, trace: ExecutionTrace) -> None:
+        """Pull new own fills into the trace, then retire finished children.
 
         Own fills enter the trace in time order, and within a tick in the
         order their children were submitted, whichever venue they filled on.
@@ -321,23 +322,30 @@ class _ChildTracker:
                 elif self.count_side is None or f.taker_side is self.count_side:
                     self.other_volume += f.quantity
         own.sort(key=lambda item: item[:2])
-        got = 0
         for _, _, vid, f, role in own:
             child = f.taker_order_id if role == "taker" else f.maker_order_id
             trace.fills.append(TraceFill(tick=f.time, price=f.price, quantity=f.quantity,
                                          child_id=child, venue_id=vid, role=role))
             venue = self.sim.venues[vid]
             trace.fees[vid] = trace.fees.get(vid, 0.0) + settle_fees(venue, f, role)
-            got += f.quantity
-        return got
+        self.retire()
 
-    def outstanding(self, trace: ExecutionTrace) -> int:
-        """Submitted but neither filled nor cancelled (includes in-flight)."""
-        cancelled = 0
-        for book in self.sim.books.values():
-            for oid in self.ids:
-                cancelled += book.ledger(oid)[2]
-        return self.submitted - trace.filled - cancelled
+    def retire(self) -> None:
+        """Drop each working child whose ledger shows nothing left, releasing it."""
+        for oid, (book, qty) in list(self.working.items()):
+            _, filled, cancelled = book.ledger(oid)
+            if filled + cancelled == qty:
+                del self.working[oid]
+                book.release(oid)
+
+    def outstanding(self) -> int:
+        """Shares of working children neither filled nor cancelled; a child
+        in flight has no ledger yet, so it counts in full."""
+        left = 0
+        for oid, (book, qty) in self.working.items():
+            _, filled, cancelled = book.ledger(oid)
+            left += qty - filled - cancelled
+        return left
 
 
 def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
@@ -404,7 +412,7 @@ def _submit_child(parent: ParentOrder, sim: MarketSim, trace: ExecutionTrace,
         return   # market child into an empty book would be rejected
     oid = tracker.next_id()
     order = _make_child(parent, oid, qty)
-    tracker.register(order)
+    tracker.register(order, book)
     trace.children.append(order)
     sim.dispatch(venue_id, order)
 
@@ -447,7 +455,7 @@ def _run_scheduled(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
         if place_at > sim.clock:
             sim.advance(place_at - sim.clock)
         tracker.harvest(trace)
-        remaining = parent.quantity - trace.filled - tracker.outstanding(trace)
+        remaining = parent.quantity - trace.filled - tracker.outstanding()
         want = min(target + carry, remaining)
         if spec.max_child is not None:
             want = min(want, spec.max_child)
@@ -463,17 +471,18 @@ def _run_scheduled(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
         done = trace.filled - before
         trace.realized.append((j, target, done))
         carry = max(0, carry + target - done)
-        _cancel_resting(tracker, sim)
+        _cancel_resting(tracker)
     if sim.clock < parent.end:
         sim.advance(parent.end - sim.clock)
         tracker.harvest(trace)
 
 
-def _cancel_resting(tracker: _ChildTracker, sim: MarketSim) -> None:
-    for vid, book in sim.books.items():
-        for oid in tracker.ids:
-            if book.remaining(oid) > 0:
-                book.cancel(oid)
+def _cancel_resting(tracker: _ChildTracker) -> None:
+    """Cancel the working children that rest, in submission order, and retire them."""
+    for oid, (book, _) in tracker.working.items():
+        if book.remaining(oid) > 0:
+            book.cancel(oid)
+    tracker.retire()
 
 
 def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
@@ -491,7 +500,7 @@ def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
                 pr = pov_adaptive_rate(spec.pr, mid, benchmark_price,
                                        spec.sensitivity, parent.side, spec.pr_max)
         target_own = pov_child_size(tracker.other_volume, pr)
-        committed = trace.filled + tracker.outstanding(trace)
+        committed = trace.filled + tracker.outstanding()
         want = min(target_own - committed, parent.quantity - committed)
         if spec.max_child is not None:
             want = min(want, spec.max_child)
@@ -502,4 +511,4 @@ def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
         trace.realized.append((window_idx, target_own, trace.filled))
         window_idx += 1
     tracker.harvest(trace)
-    _cancel_resting(tracker, sim)
+    _cancel_resting(tracker)

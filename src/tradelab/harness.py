@@ -201,17 +201,17 @@ def replay_fixture_text(name: str, text: str) -> FixtureResult:
 
 
 def replay_fixtures(directory: Optional[Path] = None) -> list[FixtureResult]:
-    """Replay every ``*.fixture`` file; packaged goldens when no dir is given."""
-    results = []
-    if directory is not None:
-        paths = sorted(Path(directory).glob("*.fixture"))
-        for p in paths:
-            results.append(replay_fixture_text(p.stem, p.read_text()))
-        return results
-    root = resources.files("tradelab").joinpath("fixtures")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".fixture"):
-            results.append(replay_fixture_text(entry.name[:-8], entry.read_text()))
+    """Replay every ``*.fixture`` file; packaged goldens when no dir is given.
+
+    A directory that is missing or holds no fixture raises FileNotFoundError.
+    """
+    root = (resources.files("tradelab").joinpath("fixtures") if directory is None
+            else Path(directory))
+    entries = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
+    results = [replay_fixture_text(e.name[:-len(".fixture")], e.read_text())
+               for e in entries if e.name.endswith(".fixture")]
+    if not results:
+        raise FileNotFoundError(f"no .fixture files in {root}")
     return results
 
 
@@ -288,15 +288,11 @@ def _write(path: Path, header: str, body: str) -> None:
     path.write_text(header + body)
 
 
-def run(scenario: Scenario, out_dir: Path,
-        report_format: Optional[str] = None) -> RunReport:
+def run(scenario: Scenario, out_dir: Path) -> RunReport:
     """Execute a scenario and emit its artifact files into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = scenario.header()
-    fmt = report_format or scenario.report_format
-    if fmt not in ("csv", "json"):
-        raise ScenarioError(f"invalid report format {fmt!r}")
     _write(out / "scenario_echo.ini", header, scenario.echo())
     report = RunReport(scenario_name=scenario.name, scenario_hash=scenario.digest(),
                        seed=scenario.seed)
@@ -317,6 +313,7 @@ def run(scenario: Scenario, out_dir: Path,
     if scenario.optimizer is not None:
         report.frontier_files = run_frontier(scenario, out)
 
+    fmt = scenario.report_format
     body = report.to_json() if fmt == "json" else report.to_csv()
     _write(out / f"report.{fmt}", header, body)
     return report

@@ -63,7 +63,6 @@ def solve_rate(risk_aversion: float, coeffs: RateCoefficients, risk: RiskParams,
     if coeffs.temp_coeff <= 0:
         # no temporary-impact penalty: cost is flat, risk favors the fastest rate
         return alpha_max
-    risk.validate()
     c = (risk.price * risk.order_size * risk.sigma
          * math.sqrt(risk.horizon_fraction / 3.0))
     alpha_star = risk_aversion * c / coeffs.temp_coeff
@@ -93,7 +92,6 @@ def solve_constrained(risk_cap: float, coeffs: RateCoefficients, risk: RiskParam
     """
     if risk_cap <= 0:
         raise ValueError("risk_cap must be positive")
-    risk.validate()
     if risk_rate(alpha_max, risk) > risk_cap:
         raise InfeasibleRiskCap(
             f"R(alpha_max)={risk_rate(alpha_max, risk):.6g} exceeds cap {risk_cap:.6g}")

@@ -326,17 +326,13 @@ def _algo_table(parser) -> tuple[Field, ...]:
 def _make(section: str, fields, factory, values: dict, **extra):
     """``factory`` called with the fields' values under their attribute names.
 
-    An object with a ``validate`` method is validated at once. A ValueError
-    is reported against the field whose attribute its message starts with
-    (the validation messages name their attribute first), else against the
-    section.
+    A ValueError is reported against the field whose attribute its message
+    starts with (the validation messages name their attribute first), else
+    against the section.
     """
     kwargs = {f.attr or f.key: values[f.key] for f in fields}
     try:
-        made = factory(**kwargs, **extra)
-        if hasattr(made, "validate"):
-            made.validate()
-        return made
+        return factory(**kwargs, **extra)
     except ValueError as exc:
         subject = str(exc).split(" ", 1)[0]
         where = next((f"[{section}].{f.key}" for f in fields

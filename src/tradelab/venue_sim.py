@@ -24,7 +24,8 @@ how ``advance`` is called. Stream v1 drew 3-4 scalar values per order and
 
 Per-order state follows the live book: a background order's ledger, side
 and live-set slot are dropped when it leaves the book (filled, expired or
-cancelled); dispatched orders keep theirs. A scenario run hands
+cancelled); a dispatched order keeps its ledger until its owner releases it,
+as the algorithm runner does once a child is done. A scenario run hands
 ``MarketSim`` file-backed logs, so the log lines stream to disk as the
 session runs. On one full-day session over three venues (the benchmark's
 ``heavy_day``) memory grows by 16-18 MB per run (28 MB while the books kept

@@ -26,6 +26,23 @@ def params(**overrides):
     return ImpactParams(**base)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: params(adv=0), "adv must be positive"),
+    (lambda: params(temp_fraction=1.5), "temp_fraction must lie in [0, 1]"),
+    (lambda: params(order_size=-1), "order_size must be >= 0"),
+    (lambda: params(sigma=-0.1), "sigma must be >= 0"),
+    (lambda: RiskParams(price=50.0, order_size=1e5, sigma=0.25, horizon_fraction=0.0),
+     "horizon_fraction must be positive"),
+    (lambda: RiskParams(price=50.0, order_size=1e5, sigma=-0.25, horizon_fraction=0.1),
+     "sigma and order_size must be >= 0"),
+], ids=["adv", "temp_fraction", "order_size", "sigma", "horizon", "risk_sigma"])
+def test_bad_parameters_raise_when_built(build, message):
+    # checked once, at construction; the cost functions trust their inputs
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 class TestImpactTotal:
     # 0.5 * (1e5/1e6)^0.5 * 0.25^1 * 1e5 * 50, evaluated independently
     FROZEN = 197642.35376052372

@@ -1,6 +1,8 @@
 """Schedule generators, POV sizing identities, and end-to-end algorithm runs."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from tradelab.exec_algos import (
     AlgoSpec,
+    ExecutionTrace,
     ExecutionWiring,
     ParentOrder,
     Schedule,
@@ -21,7 +24,8 @@ from tradelab.exec_algos import (
     twap_schedule,
     vwap_schedule,
 )
-from tradelab.orderbook import Order, OrderKind, Side
+from tradelab.orderbook import Order, OrderBook, OrderKind, Side
+from tradelab.scenario import load_scenario
 from tradelab.tactics import RouteWeights, SlicePolicy
 from tradelab.venue_sim import (
     MarketParams,
@@ -30,6 +34,8 @@ from tradelab.venue_sim import (
     VolumeProfile,
     u_shape_profile,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parent(qty=10_000, start=0, end=18_000, side=Side.BUY, **kw):
@@ -177,11 +183,11 @@ class TestPovAdaptive:
         assert pov_adaptive_rate(0.5, 50.0, 100.0, 50.0, Side.BUY, pr_max=0.95) == 0.95
 
 
-def quarter_day_sim(seed=3, profile=None, **overrides):
+def quarter_day_sim(seed=3, profile=None, venues=None, **overrides):
     base = dict(initial_price=50.0, volatility=0.1, adv=1_000_000, seed=seed,
                 session_ticks=5_850, intensity=1.0)
     base.update(overrides)
-    return MarketSim(MarketParams(**base), profile=profile)
+    return MarketSim(MarketParams(**base), venues=venues, profile=profile)
 
 
 class TestRunAlgorithm:
@@ -289,8 +295,11 @@ class TestRunAlgorithm:
         assert trace.filled == 0
         assert trace.residual == 2_000
 
-    def test_never_exceeds_parent_quantity(self):
-        sim = quarter_day_sim(seed=13)
+    @pytest.mark.parametrize("latency", [0, 100])
+    def test_never_exceeds_parent_quantity(self, latency):
+        # at latency 100 children are still in flight at the next POV window
+        # (45 ticks); they count as outstanding, so no share goes out twice
+        sim = quarter_day_sim(seed=13, venues=[VenueConfig("V1", latency=latency)])
         p = parent(qty=4_000, start=0, end=5_850)
         trace = run_algorithm(AlgoSpec(type="pov", pr=0.3), p, sim)
         assert trace.filled <= 4_000
@@ -352,8 +361,71 @@ def test_resting_children_are_cancelled_in_submission_order():
     for oid in submitted:
         order = Order(oid, Side.BUY, OrderKind.LIMIT, 10, limit_price=1)
         book.submit(order)
-        tracker.register(order)
-    _cancel_resting(tracker, sim)
+        tracker.register(order, book)
+    _cancel_resting(tracker)
     cancels = [line.split("|")[2] for line in book.log.lines
                if line.startswith("cancel|") and "why=user" in line]
     assert cancels == submitted
+    assert tracker.working == {}
+    assert all(book.ledger(oid) == (0, 0, 0) for oid in submitted)
+
+
+class TestWorkingChildren:
+    """The runner tracks only the children that may still trade, and releases
+    each finished child's ledger."""
+
+    RUNS = {"twap_quarter_day": ROOT / "scenarios" / "twap_quarter_day.ini",
+            "pov_quarter_day": ROOT / "scenarios" / "pov_quarter_day.ini",
+            "routed_day": ROOT / "tests" / "inputs" / "routed_day.ini"}
+
+    @staticmethod
+    def run(path):
+        scenario = load_scenario(path)
+        sim = MarketSim(scenario.market, venues=scenario.venues, profile=scenario.profile)
+        trace = run_algorithm(scenario.algo, scenario.parent, sim, wiring=scenario.wiring)
+        return sim, trace
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_books_hold_no_child_ledger_after_a_run(self, name):
+        sim, trace = self.run(self.RUNS[name])
+        assert trace.children
+        for vid, book in sim.books.items():
+            assert not [oid for oid in book._ledger if oid.startswith("child-")], vid
+
+    def test_runner_probes_each_child_a_few_times(self, monkeypatch):
+        calls = {"ledger": 0, "remaining": 0}
+
+        def counted(name):
+            original = getattr(OrderBook, name)
+
+            def probe(self, order_id):
+                if sys._getframe(1).f_globals["__name__"] == "tradelab.exec_algos":
+                    calls[name] += 1
+                return original(self, order_id)
+            return probe
+
+        for name in calls:
+            monkeypatch.setattr(OrderBook, name, counted(name))
+        _, trace = self.run(self.RUNS["pov_quarter_day"])
+        children = len(trace.children)
+        assert children > 100
+        assert calls["ledger"] + calls["remaining"] <= 3 * children, calls
+
+    def test_in_flight_child_counts_as_outstanding_until_it_is_done(self):
+        sim = quarter_day_sim(venues=[VenueConfig("SLOW", latency=5)])
+        book = sim.book()
+        tracker = _ChildTracker(sim)
+        order = Order(tracker.next_id(), Side.BUY, OrderKind.MARKET, 300)
+        tracker.register(order, book)
+        sim.dispatch("SLOW", order)
+        sim.advance(4)
+        tracker.harvest(ExecutionTrace(parent=parent()))
+        assert tracker.outstanding() == 300   # in flight: no ledger yet
+        sim.advance(1)
+        trace = ExecutionTrace(parent=parent())
+        tracker.harvest(trace)
+        assert trace.filled == 300
+        assert tracker.outstanding() == 0
+        assert tracker.working == {}
+        assert book.ledger(order.order_id) == (0, 0, 0)   # released
+        assert tracker.next_id() == "child-0002"

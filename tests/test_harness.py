@@ -275,6 +275,16 @@ class TestCli:
         assert cli.main(["replay-fixtures", "--dir", str(tmp_path)]) \
             == cli.EXIT_FIXTURE_MISMATCH
 
+    @pytest.mark.parametrize("make", [lambda d: None, lambda d: d.mkdir()],
+                             ids=["missing", "empty"])
+    def test_replay_fixtures_fails_on_no_fixtures(self, tmp_path, capsys, make):
+        where = tmp_path / "fixtures"
+        make(where)
+        assert cli.main(["replay-fixtures", "--dir", str(where)]) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert f"no .fixture files in {where}" in captured.err
+        assert "fixtures passed" not in captured.out
+
     @pytest.mark.parametrize("good,bad,diff", [
         ("submit|37555|MO|buy|-|2200|kind=market\n", "submit|37555|MO|buy|-|2200\n",
          "format: submit|37555|MO|buy|-|2200: want 7 columns, got 6"),
@@ -318,6 +328,15 @@ class TestCli:
                       "--out", str(tmp_path / "f"), "--format", "json"])
         assert exc.value.code == 2   # argparse usage error
         assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    def test_run_has_no_format_option(self, tmp_path, capsys):
+        # [scenario] format is part of the hashed echo; no flag overrides it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(SCENARIOS / "pov_quarter_day.ini"),
+                      "--out", str(tmp_path / "r"), "--format", "json"])
+        assert exc.value.code == 2   # argparse usage error
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_figures_verb_requires_run_dir(self, tmp_path):
         assert cli.main(["figures", str(tmp_path)]) == cli.EXIT_VALIDATION
