@@ -8,16 +8,17 @@ from tradelab.orderbook import Order, OrderBook, OrderKind, Side, Tif
 
 
 def render(book, visibility="public"):
+    """Public: displayed shares per price. Omniscient: every order, (h) when hidden."""
     snap = book.snapshot(visibility=visibility)
     print(f"  --- book ({visibility}), last trade {snap.last_trade_price} ---")
-    for lvl in reversed(snap.asks):
-        rows = ", ".join(f"{e.order_id}:{e.quantity}{'(h)' if e.hidden else ''}"
-                         for e in lvl.entries)
-        print(f"  ask {lvl.price}: {rows}")
-    for lvl in snap.bids:
-        rows = ", ".join(f"{e.order_id}:{e.quantity}{'(h)' if e.hidden else ''}"
-                         for e in lvl.entries)
-        print(f"  bid {lvl.price}: {rows}")
+    for name, levels in (("ask", reversed(snap.asks)), ("bid", snap.bids)):
+        for lvl in levels:
+            if visibility == "omniscient":
+                rows = ", ".join(f"{e.order_id}:{e.quantity}{'(h)' if e.hidden else ''}"
+                                 for e in lvl.entries)
+            else:
+                rows = lvl.total
+            print(f"  {name} {lvl.price}: {rows}")
 
 
 def limit(oid, side, price, qty, **kw):

@@ -353,7 +353,9 @@ def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
     """Execute a parent order against the simulation; returns the trace.
 
     The unfilled remainder at the horizon end is recorded as the trace
-    residual (it feeds the opportunity-cost leg of the shortfall report).
+    residual (it feeds the opportunity-cost leg of the shortfall report). No
+    child is sent that would arrive after the horizon end, so no share of the
+    residual is still in flight.
     ``wiring`` plugs placement tactics into child handling.
     """
     venue_id = next(iter(sim.venues))
@@ -406,6 +408,8 @@ def _submit_child(parent: ParentOrder, sim: MarketSim, trace: ExecutionTrace,
     if qty <= 0:
         return
     venue_id = _choose_venue(parent, sim, tracker, venue_id)
+    if sim.clock + sim.venues[venue_id].latency > parent.end:
+        return   # it would arrive after the final harvest, uncounted
     book = sim.book(venue_id)
     opposite_best = (book.best_ask() if parent.side is Side.BUY else book.best_bid())
     if opposite_best is None and parent.price_limit is None:

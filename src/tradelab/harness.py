@@ -149,12 +149,15 @@ def _parse_fixture(text: str) -> dict:
     return sections
 
 
-def _flatten_book(book: OrderBook, visibility: str) -> list[str]:
-    snap = book.snapshot(visibility=visibility)
+def _flatten_book(book: OrderBook, displayed_only: bool = False) -> list[str]:
+    """One row per omniscient entry; ``displayed_only`` keeps the displayed queue."""
+    snap = book.snapshot(visibility="omniscient")
     rows = []
     for side_name, levels in (("sell", snap.asks), ("buy", snap.bids)):
         for lvl in levels:
             for e in lvl.entries:
+                if e.hidden and displayed_only:
+                    continue
                 vis = "hidden" if e.hidden else "visible"
                 rows.append(f"book|{side_name}|{lvl.price}|{e.order_id}|{e.quantity}|{vis}")
     return rows
@@ -190,10 +193,10 @@ def replay_fixture_text(name: str, text: str) -> FixtureResult:
     diff = _first_divergence(sections["expect.fills"], actual_fills, "fills")
     if not diff:
         diff = _first_divergence(sections["expect.book"],
-                                 _flatten_book(book, "omniscient"), "book")
+                                 _flatten_book(book), "book")
     if not diff and "expect.public" in sections:
         diff = _first_divergence(sections["expect.public"],
-                                 _flatten_book(book, "public"), "public")
+                                 _flatten_book(book, displayed_only=True), "public")
     if not diff and "expect.last_trade" in sections:
         actual = f"last_trade|{book.last_trade_price}"
         diff = _first_divergence(sections["expect.last_trade"], [actual], "last_trade")

@@ -2,8 +2,8 @@
 
 The objective is cost-plus-weighted-risk over the trading rate,
 ``MI(a) + lam * R(a)``. With the square-root impact curve and inverse
-square-root risk curve the stationary point is closed-form; a dense grid
-search over the same interval doubles as the independent oracle (see tests).
+square-root risk curve the stationary point is closed-form; the tests check
+it against a dense grid search over the same interval.
 The frontier is the locus of optimal (risk, cost) pairs traced by the
 risk-aversion weight, optionally re-based to a previous-close benchmark by
 adding the decision-to-arrival drift and the full permanent-impact offset
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from tradelab.cost_model import RateCoefficients, RiskParams, mi_rate, risk_rate
 
@@ -67,18 +65,6 @@ def solve_rate(risk_aversion: float, coeffs: RateCoefficients, risk: RiskParams,
          * math.sqrt(risk.horizon_fraction / 3.0))
     alpha_star = risk_aversion * c / coeffs.temp_coeff
     return min(max(alpha_star, alpha_min), alpha_max)
-
-
-def solve_rate_grid(risk_aversion: float, coeffs: RateCoefficients, risk: RiskParams,
-                    alpha_min: float = ALPHA_MIN_DEFAULT,
-                    alpha_max: float = ALPHA_MAX_DEFAULT,
-                    n_points: int = 10_000) -> float:
-    """Dense-grid minimizer over the same interval: the oracle for solve_rate."""
-    grid = np.linspace(alpha_min, alpha_max, n_points)
-    values = (coeffs.temp_coeff * np.sqrt(grid) + coeffs.perm_coeff
-              + risk_aversion * risk.price * risk.order_size * risk.sigma
-              * np.sqrt(risk.horizon_fraction / (3.0 * grid)))
-    return float(grid[int(np.argmin(values))])
 
 
 def solve_constrained(risk_cap: float, coeffs: RateCoefficients, risk: RiskParams,

@@ -21,20 +21,21 @@ Conventions:
 
 Layout and cost: an index maps each held order id to its order. A price
 level keeps its visible and hidden queues as insertion-ordered dicts from
-order id to the order's public ``SnapshotEntry`` (a visible order's display
-slice, a hidden one's remainder) and a running count of its visible shares;
-one dict maps each resting order id to that same entry; one dict holds each
-iceberg's reserve; each side keeps its prices in one ascending list that
-matching reads in place. So ``cancel``, ``remaining`` and the best bid/ask
-are O(1) whatever the queue length; a market order or a passive limit costs
-the same at any book depth, plus one sorted-list insert or delete per price
-level it creates or empties. A public ``snapshot`` copies each level's stored
-entries in C and reads the level total from the count, so it sums nothing
-(0.73 against 2.7 ms summed, for a 20,000-order level a side under Python
-3.11); the omniscient view also builds the reserve entries and sums each
-level. A submit is one pass that records each fill where it takes it: 11.9 µs
-of book time per submit under Python 3.11, 12.9 µs with keyword-built records
-(the benchmark's ``heavy_day``, traced).
+order id to the order's ``SnapshotEntry`` (a visible order's display slice, a
+hidden one's remainder) and a running count of its visible shares; one dict
+maps each resting order id to that same entry; one dict holds each iceberg's
+reserve; each side keeps its prices in one ascending list that matching reads
+in place. So ``cancel``, ``remaining`` and the best bid/ask are O(1) whatever
+the queue length; a market order or a passive limit costs the same at any
+book depth, plus one sorted-list insert or delete per price level it creates
+or empties. A public ``snapshot`` is a market-by-price view: each level's
+price and displayed count, with no per-order entry, so it costs O(depth)
+whatever the queue length and never shows which order an iceberg slice
+belongs to. The omniscient view copies each level's stored entries in C,
+builds the reserve entries and sums each level. A submit is one pass that
+records each fill where it takes it: 11.9 µs of book time per submit under
+Python 3.11, 12.9 µs with keyword-built records (the benchmark's
+``heavy_day``, traced).
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ class SnapshotEntry(NamedTuple):
 
 
 class SnapshotLevel(NamedTuple):
+    """One price level of a snapshot. ``total`` is the level's displayed shares
+    in the public view and all its shares in the omniscient one; ``entries``
+    is empty in the public view and, in the omniscient one, lists the visible
+    slices, then the iceberg reserves, then the hidden remainders."""
+
     price: int
     total: int
     entries: tuple[SnapshotEntry, ...]
@@ -223,7 +229,7 @@ class EventLog:
 # ---------------------------------------------------------------------------
 
 class _Level:
-    """One price: FIFO queues as insertion-ordered dicts, order id -> public entry;
+    """One price: FIFO queues as insertion-ordered dicts, order id -> snapshot entry;
     a partial fill replaces an entry in place, which keeps its queue position.
     ``shown`` is the sum of the visible entries' shares, the public level total."""
 
@@ -786,7 +792,9 @@ class OrderBook:
     # -- views ----------------------------------------------------------------
 
     def snapshot(self, depth: Optional[int] = None, visibility: str = "public") -> BookSnapshot:
-        """The best ``depth`` levels per side (``None``: all), public or omniscient."""
+        """The best ``depth`` levels per side (``None``: all). Public: the levels
+        with displayed shares, as price and total only. Omniscient: every level,
+        with its per-order entries."""
         if depth is not None and depth < 0:
             raise ValueError(f"depth must be >= 0 or None, got {depth}")
         if visibility not in ("public", "omniscient"):
@@ -807,15 +815,14 @@ class OrderBook:
             if len(out) == depth:
                 break
             level = levels[price]
-            entries = tuple(level.visible.values())
-            total = level.shown
             if omniscient:
+                entries = tuple(level.visible.values())
                 entries += (*[_new(SnapshotEntry, (oid, reserve[oid], True, priority))
                               for oid, _, _, priority in entries if oid in reserve],
                             *level.hidden.values())
-                total = sum(map(_quantity, entries))
-            if entries:
-                out.append(_new(SnapshotLevel, (price, total, entries)))
+                out.append(_new(SnapshotLevel, (price, sum(map(_quantity, entries)), entries)))
+            elif level.shown:
+                out.append(_new(SnapshotLevel, (price, level.shown, ())))
         return tuple(out)
 
     # -- invariant checks (used by property tests) ----------------------------

@@ -6,9 +6,11 @@ fresh book, and now and then resubmits the id of an order the book no longer
 holds (the same order or a new one), asserting after every operation:
 
   * structural invariants (sorted levels, FIFO queues, no crossed visible book)
-  * consistent views: each level's total is the sum of its entries, the
-    public entries are the omniscient ones not hidden, in the same order, and
-    each resting order's remaining quantity is the sum of its omniscient entries
+  * consistent views: each omniscient level's total is the sum of its
+    entries; the public view lists, in the same order, each omniscient level
+    whose displayed (not hidden) entries sum above zero, with that sum as its
+    total and no per-order entries; and each resting order's remaining
+    quantity is the sum of its omniscient entries
   * price-time priority of the produced fills, visible-before-hidden at a price
   * share conservation: submitted == filled + cancelled + remaining, per order
     id, over the ledger summed across every submission of the id
@@ -215,12 +217,15 @@ def _check_views(book: OrderBook) -> None:
     omni = book.snapshot(visibility="omniscient")
     held = defaultdict(int)
     for pub_levels, omni_levels in ((public.bids, omni.bids), (public.asks, omni.asks)):
-        for lvl in pub_levels + omni_levels:
+        for lvl in omni_levels:
             if lvl.total != sum(e.quantity for e in lvl.entries):
                 raise PropertyViolation(f"level {lvl.price}: total is not the sum of entries")
-        shown = [(lvl.price, e) for lvl in pub_levels for e in lvl.entries]
-        if shown != [(lvl.price, e) for lvl in omni_levels for e in lvl.entries if not e.hidden]:
-            raise PropertyViolation("public entries differ from the omniscient visible ones")
+        if any(lvl.entries != () for lvl in pub_levels):
+            raise PropertyViolation("a public level carries per-order entries")
+        displayed = [(lvl.price, sum(e.quantity for e in lvl.entries if not e.hidden))
+                     for lvl in omni_levels]
+        if [(lvl.price, lvl.total) for lvl in pub_levels] != [d for d in displayed if d[1] > 0]:
+            raise PropertyViolation("public levels differ from the omniscient displayed shares")
         for lvl in omni_levels:
             for e in lvl.entries:
                 held[e.order_id] += e.quantity

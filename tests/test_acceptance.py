@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lob_driver
+from rate_oracle import solve_rate_grid
 from tradelab import harness
 from tradelab.cost_model import (
     ImpactParams,
@@ -40,7 +41,6 @@ from tradelab.optimizer import (
     objective,
     solve_constrained,
     solve_rate,
-    solve_rate_grid,
 )
 from tradelab.orderbook import Side
 from tradelab.scenario import load_scenario

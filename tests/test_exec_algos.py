@@ -411,6 +411,22 @@ class TestWorkingChildren:
         assert children > 100
         assert calls["ledger"] + calls["remaining"] <= 3 * children, calls
 
+    def test_no_child_is_in_flight_at_the_horizon_end(self):
+        # a child that would arrive after the parent's end is never sent, so
+        # the trace accounts for every share the runner put out
+        sim = MarketSim(MarketParams(50.0, 0.15, 1e6, seed=13, session_ticks=5_850),
+                        venues=[VenueConfig("V1", latency=100)], profile=u_shape_profile(13))
+        p = parent(qty=2_000_000, start=0, end=5_000)
+        trace = run_algorithm(AlgoSpec(type="pov", pr=0.3), p, sim)
+        assert not [o.order_id for *_, o in sim._inflight if o.order_id.startswith("child-")]
+        book = sim.book()
+        mark = book.fill_count()
+        sim.advance(200)
+        later = sum(f.quantity for f in book.fills_since(mark)
+                    if f.taker_order_id.startswith("child-"))
+        assert trace.filled + later + trace.residual == p.quantity
+        assert not [oid for oid in book._ledger if oid.startswith("child-")]
+
     def test_in_flight_child_counts_as_outstanding_until_it_is_done(self):
         sim = quarter_day_sim(venues=[VenueConfig("SLOW", latency=5)])
         book = sim.book()

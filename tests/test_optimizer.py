@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rate_oracle import solve_rate_grid
 from tradelab.cost_model import (
     ImpactParams,
     RateCoefficients,
@@ -22,7 +23,6 @@ from tradelab.optimizer import (
     objective,
     solve_constrained,
     solve_rate,
-    solve_rate_grid,
 )
 
 

@@ -59,6 +59,13 @@ def slicing_book(native_iceberg=False):
     return book
 
 
+def displayed_queue(book, side):
+    """The best level's displayed queue: its omniscient entries that are not hidden."""
+    snap = book.snapshot(visibility="omniscient")
+    level = (snap.bids if side is Side.BUY else snap.asks)[0]
+    return [e for e in level.entries if not e.hidden]
+
+
 def visible_sells(book):
     snap = book.snapshot(visibility="omniscient")
     return [(lvl.price, e.order_id, e.quantity, e.hidden)
@@ -123,7 +130,8 @@ class TestHiddenOrderNarrative:
         assert book.remaining("HB") == 1_000
         # latent: absent from the public view, present omnisciently
         public = book.snapshot(visibility="public")
-        assert all(e.order_id != "HB" for lvl in public.bids for e in lvl.entries)
+        assert [(lvl.price, lvl.total) for lvl in public.bids] == [
+            (50, 2_000), (49, 1_000), (48, 8_000)]
         omni = book.snapshot(visibility="omniscient")
         assert any(e.order_id == "HB" and e.hidden and e.quantity == 1_000
                    for lvl in omni.bids for e in lvl.entries)
@@ -178,11 +186,16 @@ class TestIcebergRefill:
 
     def test_public_view_hides_the_reserve(self):
         book = self.build()
-        public = book.snapshot(visibility="public")
-        level51 = public.asks[0]
-        assert [(e.order_id, e.quantity) for e in level51.entries] == [
+        assert [(e.order_id, e.quantity) for e in displayed_queue(book, Side.SELL)] == [
             ("ICE", 2_000), ("S2", 2_000)]
-        assert level51.total == 4_000
+        assert book.snapshot(visibility="public").asks[0].total == 4_000
+
+    def test_public_level_after_a_refill_shows_price_and_total_only(self):
+        book = self.build()
+        book.submit(market("MO", Side.BUY, 3_000), clock=hms(10, 28, 30))
+        level51 = book.snapshot(visibility="public").asks[0]
+        assert level51 == SnapshotLevel(51, 3_000, ())
+        assert "ICE" not in repr(level51) and "S2" not in repr(level51)
 
     def test_depth_limits_levels_per_side(self):
         book = self.build()
@@ -642,7 +655,7 @@ class TestIndexedLayout:
             assert book.cancel(oid) == 10
         book.check_invariants()
         rest = [oid for oid in ids if oid not in gone]
-        assert [e.order_id for e in book.snapshot().asks[0].entries] == rest
+        assert [e.order_id for e in displayed_queue(book, Side.SELL)] == rest
         result = book.submit(market("MO", Side.BUY, 10 * 600), clock=2_000)
         assert [f.maker_order_id for f in result.fills] == rest[:600]
         book.check_invariants()
@@ -703,7 +716,7 @@ class TestIndexedLayout:
         submitted, filled, cancelled = book.ledger("GAT")
         assert (submitted, filled, cancelled) == (200, 60, 100)
         assert submitted == filled + cancelled + book.remaining("GAT")
-        assert [(e.order_id, e.quantity) for e in book.snapshot().bids[0].entries] == [
+        assert [(e.order_id, e.quantity) for e in displayed_queue(book, Side.BUY)] == [
             ("GAT", 40)]
         book.check_invariants()
 
@@ -746,19 +759,19 @@ class TestIndexedLayout:
             ("S3", 51, 100)]
         assert result.disposition is Disposition.FILLED
         assert "S3" not in book.order_ids()
-        assert [e.order_id for e in book.snapshot().asks[0].entries] == ["S4", "S5"]
+        assert [e.order_id for e in displayed_queue(book, Side.SELL)] == ["S4", "S5"]
         book.check_invariants()
 
     def test_snapshot_entries_are_immutable_named_records(self):
         book = OrderBook()
         book.submit(limit("S1", Side.SELL, 51, 100), clock=7)
-        entry = book.snapshot().asks[0].entries[0]
+        entry = displayed_queue(book, Side.SELL)[0]
         assert type(entry)._fields == ("order_id", "quantity", "hidden", "priority")
         assert (entry.order_id, entry.quantity, entry.hidden) == ("S1", 100, False)
         assert entry.priority[0] == 7
         with pytest.raises(AttributeError):
             entry.quantity = 5
-        assert entry == book.snapshot().asks[0].entries[0]
+        assert entry == displayed_queue(book, Side.SELL)[0]
 
     def test_orders_are_immutable(self):
         order = limit("S1", Side.SELL, 51, 100)
@@ -779,7 +792,7 @@ class TestIndexedLayout:
 
 
 class TestStoredEntries:
-    """The queues hold each order's public entry, and a snapshot hands those out."""
+    """The queues hold each order's entry, and an omniscient snapshot hands those out."""
 
     def build(self):
         book = OrderBook(session_close=1_000)
@@ -811,9 +824,9 @@ class TestStoredEntries:
 
     def test_partial_fill_keeps_the_queue_position_and_priority(self):
         book = self.build()
-        before = book.snapshot().asks[0].entries
+        before = displayed_queue(book, Side.SELL)
         book.submit(market("M1", Side.BUY, 100), clock=10)
-        after = book.snapshot().asks[0].entries
+        after = displayed_queue(book, Side.SELL)
         assert [e.order_id for e in after] == ["ICE", "S1"]
         assert after[0] == before[0]._replace(quantity=100)
         assert after[1] is before[1]
