@@ -4,7 +4,6 @@ Verbs:
     tradelab run <scenario-file>        full scenario run with artifact files
     tradelab replay-fixtures            golden book-fixture conformance
     tradelab frontier <scenario-file>   frontier/cost-surface files only
-    tradelab figures <run-dir>          plot data from an existing run dir
 
 Exit codes: 0 ok, 1 validation error, 2 runtime error, 3 fixture mismatch.
 ``tradelab --debug <verb>`` re-raises the error with its traceback instead.
@@ -45,10 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("scenario", type=Path)
     p_frontier.add_argument("--seed", type=int, default=None)
     p_frontier.add_argument("--out", type=Path, default=None)
-
-    p_figures = sub.add_parser("figures", help="emit plot data from a run directory")
-    p_figures.add_argument("run_dir", type=Path)
-    p_figures.add_argument("--out", type=Path, default=None)
     return parser
 
 
@@ -82,10 +77,6 @@ def main(argv=None) -> int:
             out = args.out or _default_out(scenario, args.scenario)
             written = harness.run_frontier(scenario, out)
             print(f"frontier files: {', '.join(written)} -> {out}")
-            return EXIT_OK
-        if args.command == "figures":
-            written = harness.figures_for_run_dir(args.run_dir, args.out)
-            print(f"figure data: {', '.join(written)}")
             return EXIT_OK
         return EXIT_VALIDATION
     except ScenarioError as exc:

@@ -1,4 +1,4 @@
-"""Scenario runs, golden-fixture replays, and plot-data emission.
+"""Scenario runs and golden-fixture replays.
 
 ``run`` executes a scenario end to end (simulation, algorithm, TCA,
 optimizer) and writes its artifact files: the echoed config, per-venue event
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from tradelab.cost_model import mi_rate, risk_rate, sample_cost_surface
+from tradelab.cost_model import sample_cost_surface
 from tradelab.exec_algos import ExecutionTrace, run_algorithm
 from tradelab.optimizer import frontier, frontier_to_delimited
 from tradelab.orderbook import (
@@ -35,7 +35,7 @@ from tradelab.orderbook import (
     Side,
     Tif,
 )
-from tradelab.scenario import Scenario, ScenarioError, load_scenario
+from tradelab.scenario import Scenario, ScenarioError
 from tradelab.tca import ISReport, TCAInputs, expanded_tc, report_text
 from tradelab.tactics import SlicePolicy, draw_slice_size
 from tradelab.venue_sim import MarketSim
@@ -358,16 +358,6 @@ def _emit_trace_files(scenario: Scenario, trace: ExecutionTrace,
            report_text(report.is_report, side=scenario.parent.side.value))
 
 
-def _frontier_table(scenario: Scenario, benchmark: str) -> str:
-    """One benchmark's efficient-frontier table over the [optimizer] lambda grid."""
-    opt = scenario.optimizer
-    points = (frontier(opt.lambda_grid, scenario.coefficients(), scenario.risk,
-                       benchmark=benchmark, drift=opt.drift, alpha_min=opt.alpha_min,
-                       alpha_max=opt.alpha_max)
-              if opt.lambda_grid else [])
-    return frontier_to_delimited(points)
-
-
 def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
     """Emit frontier tables (per benchmark) and the cost surface; returns filenames."""
     out = Path(out_dir)
@@ -378,54 +368,19 @@ def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
         raise ScenarioError("the frontier needs an [optimizer] section")
     benchmarks = (("arrival", "previous_close") if opt.benchmark == "both"
                   else (opt.benchmark,))
+    coeffs, risk = scenario.coefficients(), scenario.risk
     written = []
     for benchmark in benchmarks:
+        points = frontier(opt.lambda_grid, coeffs, risk, benchmark=benchmark,
+                          drift=opt.drift, alpha_min=opt.alpha_min,
+                          alpha_max=opt.alpha_max)
         name = f"frontier_{benchmark}.txt"
-        _write(out / name, header, _frontier_table(scenario, benchmark))
+        _write(out / name, header, frontier_to_delimited(points))
         written.append(name)
     alphas = np.linspace(opt.alpha_min, opt.alpha_max, 400)
-    rows = sample_cost_surface(scenario.coefficients(), scenario.risk, alphas)
+    rows = sample_cost_surface(coeffs, risk, alphas)
     surface = "alpha|mi|risk\n" + "".join(
         f"{float(a)!r}|{m!r}|{r!r}\n" for a, m, r in rows)
     _write(out / "cost_surface.txt", header, surface)
     written.append("cost_surface.txt")
     return written
-
-
-def emit_figures(scenario: Scenario, out_dir: Path) -> list[str]:
-    """Plot-data files: the objective decomposition and both frontier tables."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = scenario.header()
-    opt = scenario.optimizer
-    if opt is None or scenario.cost is None:
-        raise ScenarioError("figures need [cost_model] and [optimizer] sections")
-    coeffs = scenario.coefficients()
-    risk = scenario.risk
-    written = []
-
-    grid = opt.lambda_grid
-    lam = grid[len(grid) // 2] if grid else 0.0
-    alphas = np.linspace(opt.alpha_min, opt.alpha_max, 400)
-    lines = ["alpha|mi|lambda_r|objective"]
-    for a in alphas:
-        mi = mi_rate(float(a), coeffs)
-        lr = lam * risk_rate(float(a), risk)
-        lines.append(f"{float(a)!r}|{mi!r}|{lr!r}|{mi + lr!r}")
-    _write(out / "fig1.txt", header, "\n".join(lines) + "\n")
-    written.append("fig1.txt")
-
-    for benchmark in ("arrival", "previous_close"):
-        name = f"fig2_{benchmark}.txt"
-        _write(out / name, header, _frontier_table(scenario, benchmark))
-        written.append(name)
-    return written
-
-
-def figures_for_run_dir(run_dir: Path, out_dir: Optional[Path] = None) -> list[str]:
-    """Re-load the echoed scenario in a run directory and emit figure data."""
-    echo = Path(run_dir) / "scenario_echo.ini"
-    if not echo.exists():
-        raise ScenarioError(f"no scenario_echo.ini in {run_dir}")
-    scenario = load_scenario(echo)
-    return emit_figures(scenario, Path(out_dir) if out_dir else Path(run_dir))

@@ -55,6 +55,9 @@ class OptimizerConfig:
     drift: float = 0.0
 
     def __post_init__(self):
+        grid = self.lambda_grid
+        if any(lam <= 0 for lam in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("lambda_grid must be positive and strictly increasing")
         if self.alpha_min <= 0:
             raise ValueError("alpha_min must be positive")
         if self.alpha_min > self.alpha_max:

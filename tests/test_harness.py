@@ -1,10 +1,12 @@
-"""Fixture replays, end-to-end scenario runs, figure emission, CLI exit codes."""
+"""Fixture replays, end-to-end scenario runs, frontier tables, CLI exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from test_artifact_pins import PINNED
 from tradelab import cli, harness
 from tradelab.exec_algos import run_algorithm
 from tradelab.scenario import ScenarioError, load_scenario
@@ -179,26 +181,18 @@ class TestRun:
             assert (t, price, qty) in event_fills
 
 
-class TestFigures:
-    def test_fig1_has_unique_interior_minimum(self, tmp_path):
+class TestFrontierTables:
+    def test_frontier_is_monotone_along_lambda(self, tmp_path):
         scenario = load_scenario(SCENARIOS / "frontier_only.ini")
-        out = tmp_path / "figs"
-        written = harness.emit_figures(scenario, out)
-        assert "fig1.txt" in written
-        lines = (out / "fig1.txt").read_text().splitlines()[2:]
-        objective = [float(l.split("|")[3]) for l in lines]
-        k = objective.index(min(objective))
-        assert 0 < k < len(objective) - 1
-        assert all(a >= b for a, b in zip(objective[:k], objective[1:k + 1]))
-        assert all(b >= a for a, b in zip(objective[k:], objective[k + 1:]))
-
-    def test_fig2_monotone_frontier(self, tmp_path):
-        scenario = load_scenario(SCENARIOS / "frontier_only.ini")
-        out = tmp_path / "figs"
-        harness.emit_figures(scenario, out)
-        rows = (out / "fig2_arrival.txt").read_text().splitlines()[2:]
-        costs = [float(r.split("|")[2]) for r in rows]
-        risks = [float(r.split("|")[3]) for r in rows]
+        out = tmp_path / "front"
+        harness.run_frontier(scenario, out)
+        rows = [r.split("|") for r in
+                (out / "frontier_arrival.txt").read_text().splitlines()[2:]]
+        lambdas = [float(r[0]) for r in rows]
+        costs = [float(r[2]) for r in rows]
+        risks = [float(r[3]) for r in rows]
+        assert len(rows) == 50
+        assert lambdas == sorted(set(lambdas))
         assert costs == sorted(costs)
         assert risks == sorted(risks, reverse=True)
 
@@ -209,23 +203,14 @@ class TestFigures:
         path = tmp_path / "empty.ini"
         path.write_text(text)
         scenario = load_scenario(path)
-        out = tmp_path / "figs"
-        harness.emit_figures(scenario, out)
-        lines = (out / "fig2_arrival.txt").read_text().splitlines()
-        assert lines[1] == "lambda|alpha_star|cost|risk|benchmark"
-        assert len(lines) == 2
-
-    def test_figures_from_run_dir(self, tmp_path):
-        scenario = small_scenario(tmp_path)
-        out = tmp_path / "run"
-        harness.run(scenario, out)
-        written = harness.figures_for_run_dir(out)
-        assert (out / "fig1.txt").exists()
-        assert set(written) == {"fig1.txt", "fig2_arrival.txt",
-                                "fig2_previous_close.txt"}
-        for benchmark in ("arrival", "previous_close"):   # the run's own tables
-            assert ((out / f"fig2_{benchmark}.txt").read_bytes()
-                    == (out / f"frontier_{benchmark}.txt").read_bytes())
+        out = tmp_path / "front"
+        written = harness.run_frontier(scenario, out)
+        assert written == ["frontier_arrival.txt", "frontier_previous_close.txt",
+                           "cost_surface.txt"]
+        for name in written[:2]:
+            lines = (out / name).read_text().splitlines()
+            assert lines[1] == "lambda|alpha_star|cost|risk|benchmark"
+            assert len(lines) == 2
 
 
 class TestCli:
@@ -312,7 +297,25 @@ class TestCli:
         code = cli.main(["frontier", str(SCENARIOS / "frontier_only.ini"),
                          "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_OK
-        assert (tmp_path / "f" / "frontier_arrival.txt").exists()
+        written = {f"frontier_only/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "f").iterdir()}
+        assert sorted(written) == ["frontier_only/cost_surface.txt",
+                                   "frontier_only/frontier_arrival.txt",
+                                   "frontier_only/frontier_previous_close.txt"]
+        assert written == {k: PINNED[k] for k in written}   # the bytes `run` writes
+
+    @pytest.mark.parametrize("grid", ["1e-3,1e-4", "1e-4,1e-4", "0,1e-4", "-1e-4,1e-3"],
+                             ids=["decreasing", "repeated", "zero", "negative"])
+    def test_bad_lambda_grid_rejected_at_load(self, tmp_path, capsys, grid):
+        text = (SCENARIOS / "frontier_only.ini").read_text().replace(
+            "lambda_min = 1e-8\nlambda_max = 1e-3\nlambda_points = 50",
+            f"lambda_grid = {grid}")
+        path = tmp_path / "bad_grid.ini"
+        path.write_text(text)
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_VALIDATION
+        assert "[optimizer].lambda_grid" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_frontier_verb_needs_an_optimizer(self, tmp_path, capsys):
         path = tmp_path / "no_optimizer.ini"
@@ -338,8 +341,11 @@ class TestCli:
         assert "unrecognized arguments: --format" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_figures_verb_requires_run_dir(self, tmp_path):
-        assert cli.main(["figures", str(tmp_path)]) == cli.EXIT_VALIDATION
+    def test_figures_is_not_a_verb(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figures", str(tmp_path)])
+        assert exc.value.code == 2   # argparse usage error
+        assert "invalid choice: 'figures'" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         path = tmp_path / "s.ini"
