@@ -12,7 +12,6 @@ analysis (:mod:`tradelab.tca`), and the scenario harness / CLI
 from tradelab.cost_model import ImpactParams, RateCoefficients, RiskParams
 from tradelab.exec_algos import (
     AlgoSpec,
-    ExecutionWiring,
     ParentOrder,
     Schedule,
     TiltPolicy,
@@ -48,7 +47,6 @@ __all__ = [
     "BookSnapshot",
     "Disposition",
     "EventLog",
-    "ExecutionWiring",
     "Fill",
     "FrontierPoint",
     "ISReport",

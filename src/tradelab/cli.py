@@ -3,7 +3,6 @@
 Verbs:
     tradelab run <scenario-file>        full scenario run with artifact files
     tradelab replay-fixtures            golden book-fixture conformance
-    tradelab frontier <scenario-file>   frontier/cost-surface files only
 
 Exit codes: 0 ok, 1 validation error, 2 runtime error, 3 fixture mismatch.
 ``tradelab --debug <verb>`` re-raises the error with its traceback instead.
@@ -39,11 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay-fixtures", help="replay golden book fixtures")
     p_replay.add_argument("--dir", type=Path, default=None,
                           help="fixture directory (default: packaged goldens)")
-
-    p_frontier = sub.add_parser("frontier", help="emit frontier files for a scenario")
-    p_frontier.add_argument("scenario", type=Path)
-    p_frontier.add_argument("--seed", type=int, default=None)
-    p_frontier.add_argument("--out", type=Path, default=None)
     return parser
 
 
@@ -61,24 +55,16 @@ def main(argv=None) -> int:
             print(f"run complete: {report.filled} filled, "
                   f"{report.residual} residual -> {out}")
             return EXIT_OK
-        if args.command == "replay-fixtures":
-            results = harness.replay_fixtures(args.dir)
-            failed = 0
-            for r in results:
-                status = "pass" if r.passed else "FAIL"
-                print(f"{status}  {r.name}")
-                for line in r.diff:
-                    print(f"      {line}")
-                failed += 0 if r.passed else 1
-            print(f"{len(results) - failed}/{len(results)} fixtures passed")
-            return EXIT_OK if failed == 0 else EXIT_FIXTURE_MISMATCH
-        if args.command == "frontier":
-            scenario = load_scenario(args.scenario, seed=args.seed)
-            out = args.out or _default_out(scenario, args.scenario)
-            written = harness.run_frontier(scenario, out)
-            print(f"frontier files: {', '.join(written)} -> {out}")
-            return EXIT_OK
-        return EXIT_VALIDATION
+        results = harness.replay_fixtures(args.dir)   # replay-fixtures
+        failed = 0
+        for r in results:
+            status = "pass" if r.passed else "FAIL"
+            print(f"{status}  {r.name}")
+            for line in r.diff:
+                print(f"      {line}")
+            failed += 0 if r.passed else 1
+        print(f"{len(results) - failed}/{len(results)} fixtures passed")
+        return EXIT_OK if failed == 0 else EXIT_FIXTURE_MISMATCH
     except ScenarioError as exc:
         if args.debug:
             raise

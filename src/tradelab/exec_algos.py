@@ -4,7 +4,8 @@ Schedule generators emit integer share targets whose sum equals the parent
 quantity exactly (largest-remainder apportionment; remainder ties go to later
 buckets). The runner drives child orders through a simulated market bucket by
 bucket, honoring a max-child-size cap, the parent's price limit, and POV's
-own-volume correction, and returns a full execution trace for analysis.
+own-volume correction, slicing and routing children as its spec says, and
+returns a full execution trace for analysis.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class ParentOrder:
     def __post_init__(self):
         if self.quantity <= 0:
             raise ValueError("quantity must be positive")
+        if self.start < 0:
+            raise ValueError("start must be >= 0")
         if self.end <= self.start:
             raise ValueError("end must lie after start (the parent horizon is empty)")
 
@@ -196,23 +199,15 @@ def pov_adaptive_rate(base_pr: float, price: float, benchmark_price: float,
 # runner
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExecutionWiring:
-    """Optional tactic integration for the runner.
-
-    A slice policy splits each bucket's target into sequential child orders
-    of (jittered) display size; route weights send every child through the
-    smart router over the consolidated public book when the simulation has
-    more than one venue.
-    """
-
-    slice_policy: Optional[tactics.SlicePolicy] = None
-    route_weights: Optional[tactics.RouteWeights] = None
-
-
 @dataclass(frozen=True)
 class AlgoSpec:
-    """Config-file face of an algorithm instance."""
+    """Config-file face of an algorithm instance.
+
+    ``slice_policy`` splits each bucket's target into sequential child orders
+    of (jittered) display size; ``route_weights`` send every child through
+    the smart router over the consolidated public book when the simulation
+    has more than one venue.
+    """
 
     type: str                           # twap | vwap | pov | pov-adaptive
     bucket_ticks: int = 450             # twap bucket; POV window = bucket_ticks // 10
@@ -222,6 +217,8 @@ class AlgoSpec:
     sensitivity: float = 0.0            # pov-adaptive only
     pr_max: float = 0.95
     both_sides_volume: bool = True      # POV measures both-sides traded volume
+    slice_policy: Optional[tactics.SlicePolicy] = None   # twap and vwap only
+    route_weights: Optional[tactics.RouteWeights] = None
 
     def __post_init__(self):
         if self.type not in ("twap", "vwap", "pov", "pov-adaptive"):
@@ -233,6 +230,8 @@ class AlgoSpec:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.max_child is not None and self.max_child < 1:
             raise ValueError("max_child must be >= 1")
+        if self.slice_policy is not None and self.type.startswith("pov"):
+            raise ValueError("slice_policy must be None for POV, which never slices")
 
 
 @dataclass
@@ -270,8 +269,19 @@ class ExecutionTrace:
         return sum(f.price * f.quantity for f in self.fills) / done
 
 
-class _ChildTracker:
-    """Names child orders, harvests their fills, and tracks the working ones.
+def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim) -> ExecutionTrace:
+    """Execute a parent order against the simulation; returns the trace.
+
+    The unfilled remainder at the horizon end is recorded as the trace
+    residual (it feeds the opportunity-cost leg of the shortfall report). No
+    child is sent that would arrive after the horizon end, so no share of the
+    residual is still in flight.
+    """
+    return _Run(spec, parent, sim).execute()
+
+
+class _Run:
+    """One execution: sends the children, harvests their fills into the trace.
 
     ``ids`` maps every child id to its submission index, to attribute and
     order own fills. ``working`` maps each child that may still trade to its
@@ -280,19 +290,41 @@ class _ChildTracker:
     shows nothing left is retired: dropped, and its ledger released.
     ``harvest`` drops the fills it has read from each book. ``volume`` and
     ``other_volume`` accumulate all and non-own traded volume as fills are
-    harvested, so POV sizing sees a gap-free view of the stream.
+    harvested, so POV sizing sees a gap-free view of the stream; with
+    ``both_sides_volume`` off, ``other_volume`` counts only takers on the
+    parent's side. Children go to the first venue unless the spec routes.
     """
 
-    def __init__(self, sim: MarketSim):
-        self.sim = sim
+    def __init__(self, spec: AlgoSpec, parent: ParentOrder, sim: MarketSim):
+        self.spec, self.parent, self.sim = spec, parent, sim
+        self.trace = ExecutionTrace(parent=parent)
+        self.venue_id = next(iter(sim.venues))
         self.ids: dict[str, int] = {}   # child id -> submission index
         self.working: dict[str, tuple[OrderBook, int]] = {}   # child id -> (book, quantity)
         self.volume = 0
         self.other_volume = 0
-        self.wiring = ExecutionWiring()
-        self.slice_rng: Optional[np.random.Generator] = None
-        self.count_side: Optional[Side] = None   # POV one-sided volume measurement
         self._cursors = {vid: book.fill_count() for vid, book in sim.books.items()}
+        self.slice_rng = (None if spec.slice_policy is None
+                          else np.random.default_rng(spec.slice_policy.seed))
+        one_sided = spec.type.startswith("pov") and not spec.both_sides_volume
+        self.count_side: Optional[Side] = parent.side if one_sided else None
+
+    def execute(self) -> ExecutionTrace:
+        sim, parent, trace = self.sim, self.parent, self.trace
+        if sim.clock < parent.start:
+            sim.advance(parent.start - sim.clock)
+        trace.arrival_price = sim.mid(self.venue_id) or float(sim.fundamental)
+        self.harvest()        # move the cursors past pre-horizon flow
+        self.volume = self.other_volume = 0
+        if self.spec.type in ("twap", "vwap"):
+            self.scheduled()
+        else:
+            self.pov()
+        trace.residual = parent.quantity - trace.filled
+        trace.final_price = sim.mid(self.venue_id) or float(sim.fundamental)
+        # both runners end on a harvest, so the run has seen every fill
+        trace.participation = (trace.filled / self.volume) if self.volume > 0 else None
+        return trace
 
     def next_id(self) -> str:
         return f"child-{len(self.ids) + 1:04d}"
@@ -301,13 +333,13 @@ class _ChildTracker:
         self.ids[order.order_id] = len(self.ids)
         self.working[order.order_id] = (book, order.quantity)
 
-    def harvest(self, trace: ExecutionTrace) -> None:
+    def harvest(self) -> None:
         """Pull new own fills into the trace, then retire finished children.
 
         Own fills enter the trace in time order, and within a tick in the
         order their children were submitted, whichever venue they filled on.
         """
-        ids = self.ids
+        ids, trace = self.ids, self.trace
         own = []
         for vid, book in self.sim.books.items():
             fills = book.fills_since(self._cursors[vid])
@@ -347,172 +379,122 @@ class _ChildTracker:
             left += qty - filled - cancelled
         return left
 
+    def cancel_resting(self) -> None:
+        """Cancel the working children that rest, in submission order, and retire them."""
+        for oid, (book, _) in self.working.items():
+            if book.remaining(oid) > 0:
+                book.cancel(oid)
+        self.retire()
 
-def run_algorithm(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
-                  wiring: Optional[ExecutionWiring] = None) -> ExecutionTrace:
-    """Execute a parent order against the simulation; returns the trace.
+    def route(self) -> str:
+        """The venue of the next child: the router's pick over every venue's top of book."""
+        weights, sim, side = self.spec.route_weights, self.sim, self.parent.side
+        if weights is None or len(sim.venues) < 2:
+            return self.venue_id
+        vbook = tactics.aggregate([(cfg, sim.books[vid]) for vid, cfg in sim.venues.items()],
+                                  depth=1)   # route reads only each venue's top of book
+        cands = tactics.candidates_from_virtual(vbook, side)
+        return tactics.route(cands, side, weights) if cands else self.venue_id
 
-    The unfilled remainder at the horizon end is recorded as the trace
-    residual (it feeds the opportunity-cost leg of the shortfall report). No
-    child is sent that would arrive after the horizon end, so no share of the
-    residual is still in flight.
-    ``wiring`` plugs placement tactics into child handling.
-    """
-    venue_id = next(iter(sim.venues))
-    trace = ExecutionTrace(parent=parent)
-    tracker = _ChildTracker(sim)
-    tracker.wiring = wiring or ExecutionWiring()
-    if tracker.wiring.slice_policy is not None:
-        tracker.slice_rng = np.random.default_rng(tracker.wiring.slice_policy.seed)
-    if spec.type in ("pov", "pov-adaptive") and not spec.both_sides_volume:
-        tracker.count_side = parent.side
-    if sim.clock < parent.start:
-        sim.advance(parent.start - sim.clock)
-    trace.arrival_price = sim.mid(venue_id) or float(sim.fundamental)
-    tracker.harvest(trace)        # move the cursors past pre-horizon flow
-    tracker.volume = tracker.other_volume = 0
-    if spec.type in ("twap", "vwap"):
-        _run_scheduled(spec, parent, sim, trace, tracker, venue_id)
-    else:
-        _run_pov(spec, parent, sim, trace, tracker, venue_id)
-    trace.residual = parent.quantity - trace.filled
-    trace.final_price = sim.mid(venue_id) or float(sim.fundamental)
-    # both runners end on a harvest, so the tracker has seen every fill
-    total = tracker.volume
-    trace.participation = (trace.filled / total) if total > 0 else None
-    return trace
-
-
-def _make_child(parent: ParentOrder, oid: str, qty: int) -> Order:
-    if parent.price_limit is not None:
-        return Order(oid, parent.side, OrderKind.LIMIT, qty, limit_price=parent.price_limit,
-                     tif=Tif.IOC)
-    return Order(oid, parent.side, OrderKind.MARKET, qty)
-
-
-def _choose_venue(parent: ParentOrder, sim: MarketSim, tracker: _ChildTracker,
-                  default: str) -> str:
-    weights = tracker.wiring.route_weights
-    if weights is None or len(sim.venues) < 2:
-        return default
-    vbook = tactics.aggregate([(cfg, sim.books[vid]) for vid, cfg in sim.venues.items()],
-                              depth=1)   # route reads only each venue's top of book
-    cands = tactics.candidates_from_virtual(vbook, parent.side)
-    if not cands:
-        return default
-    return tactics.route(cands, parent.side, weights)
-
-
-def _submit_child(parent: ParentOrder, sim: MarketSim, trace: ExecutionTrace,
-                  tracker: _ChildTracker, venue_id: str, qty: int) -> None:
-    if qty <= 0:
-        return
-    venue_id = _choose_venue(parent, sim, tracker, venue_id)
-    if sim.clock + sim.venues[venue_id].latency > parent.end:
-        return   # it would arrive after the final harvest, uncounted
-    book = sim.book(venue_id)
-    opposite_best = (book.best_ask() if parent.side is Side.BUY else book.best_bid())
-    if opposite_best is None and parent.price_limit is None:
-        return   # market child into an empty book would be rejected
-    oid = tracker.next_id()
-    order = _make_child(parent, oid, qty)
-    tracker.register(order, book)
-    trace.children.append(order)
-    sim.dispatch(venue_id, order)
-
-
-def _submit_sliced(parent: ParentOrder, sim: MarketSim, trace: ExecutionTrace,
-                   tracker: _ChildTracker, venue_id: str, want: int,
-                   bucket_ticks: int, bucket_end: int) -> None:
-    """Split a bucket target into sequential slice-policy children.
-
-    Each child goes out only after a resolve step of a tenth of the
-    schedule's bucket (market/IOC children clear within a tick or two), so
-    the footprint is the randomized display size, not the bucket target.
-    """
-    policy = tracker.wiring.slice_policy
-    step = max(1, bucket_ticks // 10)
-    while want > 0 and sim.clock < bucket_end:
-        size = min(tactics.draw_slice_size(policy, tracker.slice_rng), want)
-        _submit_child(parent, sim, trace, tracker, venue_id, size)
-        advance_by = min(step, bucket_end - sim.clock)
-        if advance_by > 0:
-            sim.advance(advance_by)
-        tracker.harvest(trace)
-        want -= size
-
-
-def _run_scheduled(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
-                   trace: ExecutionTrace, tracker: _ChildTracker, venue_id: str) -> None:
-    if spec.type == "twap":
-        schedule = twap_schedule(parent, spec.bucket_ticks, spec.tilt)
-    else:
-        schedule = vwap_schedule(parent, sim.profile)
-    carry = 0
-    for j, target in enumerate(schedule.targets):
-        bucket_start = parent.start + j * schedule.bucket_ticks
-        bucket_end = min(bucket_start + schedule.bucket_ticks, parent.end)
-        if bucket_start >= parent.end:
-            break
-        offset = schedule.offsets[j] if j < len(schedule.offsets) else 0
-        place_at = min(bucket_start + offset, bucket_end - 1)
-        if place_at > sim.clock:
-            sim.advance(place_at - sim.clock)
-        tracker.harvest(trace)
-        remaining = parent.quantity - trace.filled - tracker.outstanding()
-        want = min(target + carry, remaining)
-        if spec.max_child is not None:
-            want = min(want, spec.max_child)
-        before = trace.filled
-        if tracker.wiring.slice_policy is not None:
-            _submit_sliced(parent, sim, trace, tracker, venue_id, want,
-                           schedule.bucket_ticks, bucket_end)
+    def submit(self, qty: int) -> None:
+        """Send one child: a market order, or an IOC limit at the parent's price cap."""
+        if qty <= 0:
+            return
+        sim, parent = self.sim, self.parent
+        venue_id = self.route()
+        if sim.clock + sim.venues[venue_id].latency > parent.end:
+            return   # it would arrive after the final harvest, uncounted
+        book = sim.book(venue_id)
+        opposite_best = (book.best_ask() if parent.side is Side.BUY else book.best_bid())
+        if opposite_best is None and parent.price_limit is None:
+            return   # market child into an empty book would be rejected
+        oid = self.next_id()
+        if parent.price_limit is not None:
+            order = Order(oid, parent.side, OrderKind.LIMIT, qty,
+                          limit_price=parent.price_limit, tif=Tif.IOC)
         else:
-            _submit_child(parent, sim, trace, tracker, venue_id, want)
-        if bucket_end > sim.clock:
-            sim.advance(bucket_end - sim.clock)
-        tracker.harvest(trace)
-        done = trace.filled - before
-        trace.realized.append((j, target, done))
-        carry = max(0, carry + target - done)
-        _cancel_resting(tracker)
-    if sim.clock < parent.end:
-        sim.advance(parent.end - sim.clock)
-        tracker.harvest(trace)
+            order = Order(oid, parent.side, OrderKind.MARKET, qty)
+        self.register(order, book)
+        self.trace.children.append(order)
+        sim.dispatch(venue_id, order)
 
+    def submit_sliced(self, want: int, bucket_ticks: int, bucket_end: int) -> None:
+        """Split a bucket target into sequential slice-policy children.
 
-def _cancel_resting(tracker: _ChildTracker) -> None:
-    """Cancel the working children that rest, in submission order, and retire them."""
-    for oid, (book, _) in tracker.working.items():
-        if book.remaining(oid) > 0:
-            book.cancel(oid)
-    tracker.retire()
+        Each child goes out only after a resolve step of a tenth of the
+        schedule's bucket (market/IOC children clear within a tick or two), so
+        the footprint is the randomized display size, not the bucket target.
+        """
+        sim = self.sim
+        step = max(1, bucket_ticks // 10)
+        while want > 0 and sim.clock < bucket_end:
+            size = min(tactics.draw_slice_size(self.spec.slice_policy, self.slice_rng), want)
+            self.submit(size)
+            sim.advance(min(step, bucket_end - sim.clock))
+            self.harvest()
+            want -= size
 
+    def scheduled(self) -> None:
+        spec, parent, sim, trace = self.spec, self.parent, self.sim, self.trace
+        if spec.type == "twap":
+            schedule = twap_schedule(parent, spec.bucket_ticks, spec.tilt)
+        else:
+            schedule = vwap_schedule(parent, sim.profile)
+        carry = 0
+        for j, target in enumerate(schedule.targets):
+            bucket_start = parent.start + j * schedule.bucket_ticks
+            bucket_end = min(bucket_start + schedule.bucket_ticks, parent.end)
+            if bucket_start >= parent.end:
+                break
+            offset = schedule.offsets[j] if j < len(schedule.offsets) else 0
+            place_at = min(bucket_start + offset, bucket_end - 1)
+            if place_at > sim.clock:
+                sim.advance(place_at - sim.clock)
+            self.harvest()
+            remaining = parent.quantity - trace.filled - self.outstanding()
+            want = min(target + carry, remaining)
+            if spec.max_child is not None:
+                want = min(want, spec.max_child)
+            before = trace.filled
+            if spec.slice_policy is not None:
+                self.submit_sliced(want, schedule.bucket_ticks, bucket_end)
+            else:
+                self.submit(want)
+            if bucket_end > sim.clock:
+                sim.advance(bucket_end - sim.clock)
+            self.harvest()
+            done = trace.filled - before
+            trace.realized.append((j, target, done))
+            carry = max(0, carry + target - done)
+            self.cancel_resting()
+        if sim.clock < parent.end:
+            sim.advance(parent.end - sim.clock)
+            self.harvest()
 
-def _run_pov(spec: AlgoSpec, parent: ParentOrder, sim: MarketSim,
-             trace: ExecutionTrace, tracker: _ChildTracker, venue_id: str) -> None:
-    window = max(1, spec.bucket_ticks // 10)
-    window_idx = 0
-    benchmark_price = trace.arrival_price or float(sim.fundamental)
-    while sim.clock < parent.end:
-        sim.advance(min(window, parent.end - sim.clock))
-        tracker.harvest(trace)
-        pr = spec.pr
-        if spec.type == "pov-adaptive" and benchmark_price > 0:
-            mid = sim.mid(venue_id)
-            if mid is not None:
-                pr = pov_adaptive_rate(spec.pr, mid, benchmark_price,
-                                       spec.sensitivity, parent.side, spec.pr_max)
-        target_own = pov_child_size(tracker.other_volume, pr)
-        committed = trace.filled + tracker.outstanding()
-        want = min(target_own - committed, parent.quantity - committed)
-        if spec.max_child is not None:
-            want = min(want, spec.max_child)
-        if want > 0 and sim.clock < parent.end:
-            _submit_child(parent, sim, trace, tracker, venue_id, want)
-            sim.advance(1)
-            tracker.harvest(trace)
-        trace.realized.append((window_idx, target_own, trace.filled))
-        window_idx += 1
-    tracker.harvest(trace)
-    _cancel_resting(tracker)
+    def pov(self) -> None:
+        spec, parent, sim, trace = self.spec, self.parent, self.sim, self.trace
+        window = max(1, spec.bucket_ticks // 10)
+        window_idx = 0
+        benchmark_price = trace.arrival_price or float(sim.fundamental)
+        while sim.clock < parent.end:
+            sim.advance(min(window, parent.end - sim.clock))
+            self.harvest()
+            pr = spec.pr
+            if spec.type == "pov-adaptive" and benchmark_price > 0:
+                mid = sim.mid(self.venue_id)
+                if mid is not None:
+                    pr = pov_adaptive_rate(spec.pr, mid, benchmark_price,
+                                           spec.sensitivity, parent.side, spec.pr_max)
+            target_own = pov_child_size(self.other_volume, pr)
+            committed = trace.filled + self.outstanding()
+            want = min(target_own - committed, parent.quantity - committed)
+            if spec.max_child is not None:
+                want = min(want, spec.max_child)
+            if want > 0 and sim.clock < parent.end:
+                self.submit(want)
+                sim.advance(1)
+                self.harvest()
+            trace.realized.append((window_idx, target_own, trace.filled))
+            window_idx += 1
+        self.harvest()
+        self.cancel_resting()

@@ -309,8 +309,7 @@ def run(scenario: Scenario, out_dir: Path) -> RunReport:
                 logs[venue.venue_id] = EventLog(fh)
             sim = MarketSim(scenario.market, venues=scenario.venues,
                             profile=scenario.profile, logs=logs)
-            trace = run_algorithm(scenario.algo, scenario.parent, sim,
-                                  wiring=scenario.wiring)
+            trace = run_algorithm(scenario.algo, scenario.parent, sim)
         _emit_trace_files(scenario, trace, out, header, report)
 
     if scenario.optimizer is not None:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 from tradelab.cost_model import ImpactParams, RateCoefficients, RiskParams
-from tradelab.exec_algos import AlgoSpec, ExecutionWiring, ParentOrder, TiltPolicy
+from tradelab.exec_algos import AlgoSpec, ParentOrder, TiltPolicy
 from tradelab.orderbook import Side
 from tradelab.tactics import RouteWeights, SlicePolicy
 from tradelab.venue_sim import MarketParams, VenueConfig, VolumeProfile, u_shape_profile
@@ -255,7 +255,6 @@ class Scenario:
     venues: list = field(default_factory=list)
     parent: Optional[ParentOrder] = None
     algo: Optional[AlgoSpec] = None
-    wiring: ExecutionWiring = field(default_factory=ExecutionWiring)
     cost: Optional[ImpactParams] = None
     risk: Optional[RiskParams] = None
     optimizer: Optional[OptimizerConfig] = None
@@ -429,9 +428,11 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
                     "no [tactics].slice_display")
             v.update(slice_jitter=None, slice_seed=None)
         else:
-            scenario.wiring.slice_policy = _make("tactics", _SLICE, SlicePolicy, v)
+            slices = _make("tactics", _SLICE, SlicePolicy, v)
+            scenario.algo = replace(scenario.algo, slice_policy=slices)
         if any(parser.has_option("tactics", f.key) for f in _ROUTE):
-            scenario.wiring.route_weights = _make("tactics", _ROUTE, RouteWeights, v)
+            routes = _make("tactics", _ROUTE, RouteWeights, v)
+            scenario.algo = replace(scenario.algo, route_weights=routes)
         else:
             v.update((f.key, None) for f in _ROUTE)
 

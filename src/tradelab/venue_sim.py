@@ -28,12 +28,11 @@ cancelled); a dispatched order keeps its ledger until its owner releases it,
 as the algorithm runner does once a child is done. A scenario run hands
 ``MarketSim`` file-backed logs, so the log lines stream to disk as the
 session runs. On one full-day session over three venues (the benchmark's
-``heavy_day``) memory grows by 16-18 MB per run (28 MB while the books kept
-every fill, 83 MB with in-memory logs), and under Python 3.11 a run takes
-1.9 s, 2.1 s while fills, background orders and submit results were built
-by keyword. The simulator's own time per background order, outside the
-book, is 9.6 µs traced (9.8 µs before; 2-core Xeon, ``perfbench/run.py``
-reference seconds).
+``heavy_day``) memory grows by 16-18 MB per run, with the logs on disk and
+no fill kept past the runner's harvest, and under Python 3.11 a run takes
+1.9 s, with fills, background orders and submit results built positionally.
+The simulator's own time per background order, outside the book, is 9.6 µs
+traced (2-core Xeon, ``perfbench/run.py`` reference seconds).
 """
 
 from __future__ import annotations
@@ -160,6 +159,8 @@ class MarketParams:
     cancel_prob: float = 0.01
 
     def __post_init__(self):
+        if self.initial_price <= 0:
+            raise ValueError("initial_price must be positive")
         if self.volatility < 0:
             raise ValueError("volatility must be >= 0")
         if self.adv <= 0:

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from tradelab.exec_algos import (
     AlgoSpec,
-    ExecutionTrace,
-    ExecutionWiring,
     ParentOrder,
     Schedule,
     TiltPolicy,
-    _cancel_resting,
-    _ChildTracker,
+    _Run,
     apportion,
     pov_adaptive_rate,
     pov_child_size,
@@ -224,11 +221,10 @@ class TestRunAlgorithm:
         # VWAP buckets are horizon // len(profile); bucket_ticks is TWAP's and POV's
         def one(bucket_ticks):
             sim = quarter_day_sim(seed=5, profile=u_shape_profile(13))
-            wiring = ExecutionWiring(slice_policy=SlicePolicy(display=400, jitter=0.3,
-                                                              seed=2))
-            return run_algorithm(AlgoSpec(type="vwap", bucket_ticks=bucket_ticks),
-                                 parent(qty=13_000, start=0, end=5_850), sim,
-                                 wiring=wiring)
+            policy = SlicePolicy(display=400, jitter=0.3, seed=2)
+            return run_algorithm(AlgoSpec(type="vwap", bucket_ticks=bucket_ticks,
+                                          slice_policy=policy),
+                                 parent(qty=13_000, start=0, end=5_850), sim)
         a, b = one(450), one(900)
         assert len(a.children) > 13   # sliced
         assert a.fills == b.fills
@@ -323,10 +319,9 @@ class TestBoundedFillRecord:
 
     def test_runner_leaves_no_fill_held(self):
         sim = self.sim()
-        wiring = ExecutionWiring(slice_policy=SlicePolicy(display=250),
-                                 route_weights=RouteWeights())
-        trace = run_algorithm(AlgoSpec(type="twap", bucket_ticks=500),
-                              parent(qty=4_000, end=2_000), sim, wiring=wiring)
+        spec = AlgoSpec(type="twap", bucket_ticks=500, slice_policy=SlicePolicy(display=250),
+                        route_weights=RouteWeights())
+        trace = run_algorithm(spec, parent(qty=4_000, end=2_000), sim)
         assert trace.filled == 4_000
         assert len({f.venue_id for f in trace.fills}) > 1   # routed, not one venue
         for vid, book in sim.books.items():
@@ -353,20 +348,33 @@ class TestBoundedFillRecord:
                 == self.logged_fills(book) > 0, vid
 
 
+@pytest.mark.parametrize("algo_type", ["twap", "vwap", "pov", "pov-adaptive"])
+def test_only_scheduled_specs_take_a_slice_policy(algo_type):
+    # POV sizes each child from the volume stream, so a slice policy there would
+    # go unread; every type may route
+    policy, weights = SlicePolicy(display=100), RouteWeights()
+    assert AlgoSpec(type=algo_type, route_weights=weights).route_weights is weights
+    if algo_type.startswith("pov"):
+        with pytest.raises(ValueError, match="^slice_policy must be None for POV"):
+            AlgoSpec(type=algo_type, slice_policy=policy)
+    else:
+        assert AlgoSpec(type=algo_type, slice_policy=policy).slice_policy is policy
+
+
 def test_resting_children_are_cancelled_in_submission_order():
     sim = quarter_day_sim()
     book = sim.book()
-    tracker = _ChildTracker(sim)
+    run = _Run(AlgoSpec(type="twap"), parent(), sim)
     submitted = [f"child-{n}" for n in (7, 2, 9, 4, 1, 8, 3)]
     for oid in submitted:
         order = Order(oid, Side.BUY, OrderKind.LIMIT, 10, limit_price=1)
         book.submit(order)
-        tracker.register(order, book)
-    _cancel_resting(tracker)
+        run.register(order, book)
+    run.cancel_resting()
     cancels = [line.split("|")[2] for line in book.log.lines
                if line.startswith("cancel|") and "why=user" in line]
     assert cancels == submitted
-    assert tracker.working == {}
+    assert run.working == {}
     assert all(book.ledger(oid) == (0, 0, 0) for oid in submitted)
 
 
@@ -382,7 +390,7 @@ class TestWorkingChildren:
     def run(path):
         scenario = load_scenario(path)
         sim = MarketSim(scenario.market, venues=scenario.venues, profile=scenario.profile)
-        trace = run_algorithm(scenario.algo, scenario.parent, sim, wiring=scenario.wiring)
+        trace = run_algorithm(scenario.algo, scenario.parent, sim)
         return sim, trace
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -430,18 +438,18 @@ class TestWorkingChildren:
     def test_in_flight_child_counts_as_outstanding_until_it_is_done(self):
         sim = quarter_day_sim(venues=[VenueConfig("SLOW", latency=5)])
         book = sim.book()
-        tracker = _ChildTracker(sim)
-        order = Order(tracker.next_id(), Side.BUY, OrderKind.MARKET, 300)
-        tracker.register(order, book)
+        run = _Run(AlgoSpec(type="pov"), parent(), sim)
+        order = Order(run.next_id(), Side.BUY, OrderKind.MARKET, 300)
+        run.register(order, book)
         sim.dispatch("SLOW", order)
         sim.advance(4)
-        tracker.harvest(ExecutionTrace(parent=parent()))
-        assert tracker.outstanding() == 300   # in flight: no ledger yet
+        run.harvest()
+        assert run.trace.filled == 0
+        assert run.outstanding() == 300   # in flight: no ledger yet
         sim.advance(1)
-        trace = ExecutionTrace(parent=parent())
-        tracker.harvest(trace)
-        assert trace.filled == 300
-        assert tracker.outstanding() == 0
-        assert tracker.working == {}
+        run.harvest()
+        assert run.trace.filled == 300
+        assert run.outstanding() == 0
+        assert run.working == {}
         assert book.ledger(order.order_id) == (0, 0, 0)   # released
-        assert tracker.next_id() == "child-0002"
+        assert run.next_id() == "child-0002"

@@ -1,12 +1,10 @@
 """Fixture replays, end-to-end scenario runs, frontier tables, CLI exit codes."""
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from test_artifact_pins import PINNED
 from tradelab import cli, harness
 from tradelab.exec_algos import run_algorithm
 from tradelab.scenario import ScenarioError, load_scenario
@@ -159,7 +157,7 @@ class TestRun:
         out = tmp_path / "two"
         harness.run(scenario, out)
         sim = MarketSim(scenario.market, venues=scenario.venues, profile=scenario.profile)
-        run_algorithm(scenario.algo, scenario.parent, sim, wiring=scenario.wiring)
+        run_algorithm(scenario.algo, scenario.parent, sim)
         assert sorted(p.name for p in out.glob("events_*.log")) == [
             "events_V1.log", "events_V2.log"]
         for vid, book in sim.books.items():
@@ -211,6 +209,14 @@ class TestFrontierTables:
             lines = (out / name).read_text().splitlines()
             assert lines[1] == "lambda|alpha_star|cost|risk|benchmark"
             assert len(lines) == 2
+
+    def test_run_frontier_needs_an_optimizer(self, tmp_path):
+        path = tmp_path / "no_optimizer.ini"
+        path.write_text((SCENARIOS / "twap_quarter_day.ini").read_text()
+                        .split("[optimizer]")[0])   # keeps [cost_model]
+        scenario = load_scenario(path)
+        with pytest.raises(ScenarioError, match=r"needs an \[optimizer\] section"):
+            harness.run_frontier(scenario, tmp_path / "f")
 
 
 class TestCli:
@@ -293,17 +299,6 @@ class TestCli:
         assert diff in out
         assert "1/2 fixtures passed" in out
 
-    def test_frontier_verb(self, tmp_path, capsys):
-        code = cli.main(["frontier", str(SCENARIOS / "frontier_only.ini"),
-                         "--out", str(tmp_path / "f")])
-        assert code == cli.EXIT_OK
-        written = {f"frontier_only/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in (tmp_path / "f").iterdir()}
-        assert sorted(written) == ["frontier_only/cost_surface.txt",
-                                   "frontier_only/frontier_arrival.txt",
-                                   "frontier_only/frontier_previous_close.txt"]
-        assert written == {k: PINNED[k] for k in written}   # the bytes `run` writes
-
     @pytest.mark.parametrize("grid", ["1e-3,1e-4", "1e-4,1e-4", "0,1e-4", "-1e-4,1e-3"],
                              ids=["decreasing", "repeated", "zero", "negative"])
     def test_bad_lambda_grid_rejected_at_load(self, tmp_path, capsys, grid):
@@ -316,21 +311,6 @@ class TestCli:
         assert code == cli.EXIT_VALIDATION
         assert "[optimizer].lambda_grid" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
-
-    def test_frontier_verb_needs_an_optimizer(self, tmp_path, capsys):
-        path = tmp_path / "no_optimizer.ini"
-        path.write_text((SCENARIOS / "twap_quarter_day.ini").read_text()
-                        .split("[optimizer]")[0])   # keeps [cost_model]
-        code = cli.main(["frontier", str(path), "--out", str(tmp_path / "f")])
-        assert code == cli.EXIT_VALIDATION
-        assert "[optimizer]" in capsys.readouterr().err
-
-    def test_frontier_has_no_format_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["frontier", str(SCENARIOS / "frontier_only.ini"),
-                      "--out", str(tmp_path / "f"), "--format", "json"])
-        assert exc.value.code == 2   # argparse usage error
-        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_run_has_no_format_option(self, tmp_path, capsys):
         # [scenario] format is part of the hashed echo; no flag overrides it
@@ -346,6 +326,15 @@ class TestCli:
             cli.main(["figures", str(tmp_path)])
         assert exc.value.code == 2   # argparse usage error
         assert "invalid choice: 'figures'" in capsys.readouterr().err
+
+    def test_frontier_is_not_a_verb(self, tmp_path, capsys):
+        # `run` writes the frontier files, with the echo their headers name
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frontier", str(SCENARIOS / "frontier_only.ini"),
+                      "--out", str(tmp_path / "f")])
+        assert exc.value.code == 2   # argparse usage error
+        assert "invalid choice: 'frontier'" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -1,6 +1,6 @@
-"""Cross-module integration: tactic wiring into the runner, multi-venue routing."""
+"""Cross-module integration: tactics in the runner's spec, multi-venue routing."""
 
-from tradelab.exec_algos import AlgoSpec, ExecutionWiring, ParentOrder, run_algorithm
+from tradelab.exec_algos import AlgoSpec, ParentOrder, run_algorithm
 from tradelab.orderbook import Side
 from tradelab.tactics import RouteWeights, SlicePolicy
 from tradelab.venue_sim import MarketParams, MarketSim, VenueConfig
@@ -17,9 +17,8 @@ class TestSliceWiring:
     def test_children_split_to_display_size(self):
         sim = MarketSim(sim_params())
         parent = ParentOrder(side=Side.BUY, quantity=4_000, start=0, end=2_000)
-        wiring = ExecutionWiring(slice_policy=SlicePolicy(display=250))
-        trace = run_algorithm(AlgoSpec(type="twap", bucket_ticks=500), parent, sim,
-                              wiring=wiring)
+        spec = AlgoSpec(type="twap", bucket_ticks=500, slice_policy=SlicePolicy(display=250))
+        trace = run_algorithm(spec, parent, sim)
         assert trace.filled == 4_000
         assert all(c.quantity <= 250 for c in trace.children)
         assert len(trace.children) >= 16
@@ -28,10 +27,9 @@ class TestSliceWiring:
         def run(seed):
             sim = MarketSim(sim_params())
             parent = ParentOrder(side=Side.BUY, quantity=4_000, start=0, end=2_000)
-            wiring = ExecutionWiring(slice_policy=SlicePolicy(
+            spec = AlgoSpec(type="twap", bucket_ticks=500, slice_policy=SlicePolicy(
                 display=250, jitter=0.3, seed=seed))
-            trace = run_algorithm(AlgoSpec(type="twap", bucket_ticks=500), parent,
-                                  sim, wiring=wiring)
+            trace = run_algorithm(spec, parent, sim)
             return [c.quantity for c in trace.children]
         assert run(1) == run(1)
         assert run(1) != run(2)
@@ -46,10 +44,9 @@ class TestRouteWiring:
     def test_children_follow_fee_weighted_router(self):
         sim = MarketSim(sim_params(), venues=self.venues())
         parent = ParentOrder(side=Side.BUY, quantity=2_000, start=0, end=2_000)
-        wiring = ExecutionWiring(route_weights=RouteWeights(
+        spec = AlgoSpec(type="twap", bucket_ticks=500, route_weights=RouteWeights(
             price=1.0, exec_probability=0.0, latency=0.0, fee=100.0))
-        trace = run_algorithm(AlgoSpec(type="twap", bucket_ticks=500), parent, sim,
-                              wiring=wiring)
+        trace = run_algorithm(spec, parent, sim)
         assert trace.filled > 0
         by_venue = {}
         for f in trace.fills:
@@ -68,9 +65,8 @@ class TestRouteWiring:
         def run():
             sim = MarketSim(sim_params(seed=11), venues=self.venues())
             parent = ParentOrder(side=Side.BUY, quantity=2_000, start=0, end=2_000)
-            wiring = ExecutionWiring(route_weights=RouteWeights())
-            return run_algorithm(AlgoSpec(type="twap", bucket_ticks=500), parent,
-                                 sim, wiring=wiring).fills
+            spec = AlgoSpec(type="twap", bucket_ticks=500, route_weights=RouteWeights())
+            return run_algorithm(spec, parent, sim).fills
         assert run() == run()
 
 
@@ -118,3 +114,9 @@ route_w_fee = 50.0
         assert report.filled > 0
         assert report.child_count >= 15    # sliced into ~200-share children
         assert "B" in report.fees          # router reached the cheap venue
+
+
+def test_every_public_name_resolves():
+    import tradelab
+    assert len(set(tradelab.__all__)) == len(tradelab.__all__)
+    assert [name for name in tradelab.__all__ if not hasattr(tradelab, name)] == []

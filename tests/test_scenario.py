@@ -124,7 +124,7 @@ class TestLoad:
 
 
 class TestTactics:
-    """The [tactics] section loads straight into the runner's wiring."""
+    """The [tactics] section loads into the algorithm spec, as [algo]'s tilt keys do."""
 
     # routing needs a second venue to choose from
     HEAD = FULL.replace("[parent]", "[venue:V2]\n\n[parent]") + "\n[tactics]\n"
@@ -133,7 +133,7 @@ class TestTactics:
         text = self.HEAD + ("slice_display = 500\nslice_jitter = 0.2\nslice_seed = 3\n"
                             "route_w_price = 2.0\nroute_w_fee = 0.5\n")
         s = load_scenario(write(tmp_path, text))
-        policy, weights = s.wiring.slice_policy, s.wiring.route_weights
+        policy, weights = s.algo.slice_policy, s.algo.route_weights
         assert (policy.display, policy.jitter, policy.seed) == (500, 0.2, 3)
         rng = np.random.default_rng(policy.seed)
         assert len({draw_slice_size(policy, rng) for _ in range(20)}) > 1   # jittered
@@ -143,16 +143,16 @@ class TestTactics:
 
     def test_empty_section_wires_nothing(self, tmp_path):
         s = load_scenario(write(tmp_path, self.HEAD))
-        assert s.wiring.slice_policy is None and s.wiring.route_weights is None
+        assert s.algo.slice_policy is None and s.algo.route_weights is None
         assert "[tactics]" not in s.echo()
 
     def test_slice_display_alone_is_not_randomized(self, tmp_path):
         s = load_scenario(write(tmp_path, self.HEAD + "slice_display = 500\n"))
-        policy = s.wiring.slice_policy
+        policy = s.algo.slice_policy
         assert policy.jitter == 0.0
         rng = np.random.default_rng(policy.seed)
         assert {draw_slice_size(policy, rng) for _ in range(20)} == {500}
-        assert s.wiring.route_weights is None
+        assert s.algo.route_weights is None
         assert "route_w_price" not in s.echo()
 
     @pytest.mark.parametrize("key", ["slice_jitter", "slice_seed"])
@@ -280,6 +280,9 @@ class TestRejectedThroughCli:
         ("market", "cancel_prob", "-0.1"),
         ("tactics", "route_w_fee", "1.0"),   # one venue: nothing to route between
         ("algo", "type", "pov"),             # POV never slices [tactics].slice_display
+        ("market", "initial_price", "-5.0"),  # every quote would clamp to tick 1
+        ("market", "initial_price", "0"),
+        ("parent", "start", "-300"),          # the first bucket would count ticks before 0
     ])
     def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
         path = with_field(tmp_path, section, key, value)
