@@ -36,6 +36,8 @@ class ParentOrder:
             raise ValueError("start must be >= 0")
         if self.end <= self.start:
             raise ValueError("end must lie after start (the parent horizon is empty)")
+        if self.price_limit is not None and self.price_limit < 1:
+            raise ValueError("price_limit must be >= 1 (a price in ticks)")
 
     @property
     def horizon(self) -> int:

@@ -359,12 +359,12 @@ def _emit_trace_files(scenario: Scenario, trace: ExecutionTrace,
 
 def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
     """Emit frontier tables (per benchmark) and the cost surface; returns filenames."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = scenario.header()
     opt = scenario.optimizer
     if opt is None:
         raise ScenarioError("the frontier needs an [optimizer] section")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    header = scenario.header()
     benchmarks = (("arrival", "previous_close") if opt.benchmark == "both"
                   else (opt.benchmark,))
     coeffs, risk = scenario.coefficients(), scenario.risk

@@ -22,17 +22,18 @@ clock values, so a session depends on the seed and the clock alone, not on
 how ``advance`` is called. Stream v1 drew 3-4 scalar values per order and
 2-3 per tick, so one seed gives different sessions under the two versions.
 
-Per-order state follows the live book: a background order's ledger, side
-and live-set slot are dropped when it leaves the book (filled, expired or
-cancelled); a dispatched order keeps its ledger until its owner releases it,
-as the algorithm runner does once a child is done. A scenario run hands
-``MarketSim`` file-backed logs, so the log lines stream to disk as the
-session runs. On one full-day session over three venues (the benchmark's
-``heavy_day``) memory grows by 16-18 MB per run, with the logs on disk and
-no fill kept past the runner's harvest, and under Python 3.11 a run takes
-1.9 s, with fills, background orders and submit results built positionally.
-The simulator's own time per background order, outside the book, is 9.6 µs
-traced (2-core Xeon, ``perfbench/run.py`` reference seconds).
+Per-order state follows the live book. Each book reports every order that
+leaves it (filled out, expired or cancelled) through its ``on_leave`` hook,
+and the venue's ``_LiveSet`` then drops a background order's ledger, side
+and slot, so the simulator never probes a book for departures. A dispatched
+order keeps its ledger until its owner releases it, as the algorithm runner
+does once a child is done. A scenario run hands ``MarketSim`` file-backed
+logs, so the log lines stream to disk as the session runs. On one full-day
+session over three venues (the benchmark's ``heavy_day``) memory grows by
+16-18 MB per run and under Python 3.11 a run takes 1.9 s. The simulator's
+own time per background order, outside the book, is 7.0 µs traced on
+``heavy_day`` and 9.6 µs on ``pov_seed_sweep`` (9.4 and 13.2 µs while it
+probed; 2-core Xeon, ``perfbench/run.py`` reference seconds).
 """
 
 from __future__ import annotations
@@ -221,18 +222,19 @@ class MarketSim:
         self.rng = np.random.default_rng(params.seed)
         self.clock = 0
         self.fundamental = float(params.initial_price_ticks)
-        self.books: dict[str, OrderBook] = {
-            vid: OrderBook(venue_id=vid, session_close=params.session_ticks,
-                           log=EventLog() if logs is None else logs[vid])
-            for vid in self.venues
-        }
         # order id -> side, for every order the sim holds state for: resting
         # background orders and every dispatched order
         self.order_sides: dict[str, Side] = {}
+        self._live = {vid: _LiveSet(self.order_sides) for vid in self.venues}
+        self.books: dict[str, OrderBook] = {
+            vid: OrderBook(venue_id=vid, session_close=params.session_ticks,
+                           log=EventLog() if logs is None else logs[vid],
+                           on_leave=self._live[vid].leave)
+            for vid in self.venues
+        }
         self._inflight: list[tuple[int, int, str, Order]] = []   # (arrival, seq, venue, order)
         self._dispatch_seq = 0
         self._bg_count = 0
-        self._live = {vid: _LiveSet() for vid in self.venues}
         self._tick_std = params.per_tick_std_ticks
         venue_share = 1.0 / len(self.venues)
         self._mean_taker = [   # mean market-order size per bucket
@@ -293,15 +295,10 @@ class MarketSim:
             if row == 0:
                 self._draw_block()
             self.fundamental += self._steps[row]
-            self._deliver_arrivals()
-            for vid, book in self.books.items():
-                # besides expiring, a due GAT order or a settled stop can fill makers
-                mark = book.fill_count()
-                expired = book.expire(self.clock)
-                if expired:
-                    self._forget(vid, expired)
-                if book.fill_count() != mark:
-                    self._forget_filled(vid, mark)
+            if self._inflight and self._inflight[0][0] <= self.clock:
+                self._deliver_arrivals()
+            for book in self.books.values():
+                book.expire(self.clock)
             if self._counts is not None:
                 self._background_flow(row)
 
@@ -352,38 +349,14 @@ class MarketSim:
         while self._inflight and self._inflight[0][0] <= self.clock:
             _, _, vid, order = heapq.heappop(self._inflight)
             self.order_sides[order.order_id] = order.side
-            book = self.books[vid]
-            mark = book.fill_count()
-            book.submit(order, clock=self.clock)
-            if book.fill_count() != mark:
-                self._forget_filled(vid, mark)
+            self.books[vid].submit(order, clock=self.clock)
 
     def _submit_background(self, venue_id: str, order: Order) -> None:
         """Submit a background order; keep state for it only while it rests."""
         book = self.books[venue_id]
-        mark = book.fill_count()
         book.submit(order, clock=self.clock)
-        if book.fill_count() != mark:
-            self._forget_filled(venue_id, mark)
-        oid = order.order_id
-        if not book.release(oid):
-            self._live[venue_id].add(oid)
-            self.order_sides[oid] = order.side
-
-    def _forget_filled(self, venue_id: str, mark: int) -> None:
-        """Forget the background makers that the book's fills since ``mark`` filled out."""
-        self._forget(venue_id, [f.maker_order_id
-                                for f in self.books[venue_id].fills_since(mark)])
-
-    def _forget(self, venue_id: str, order_ids: list[str]) -> None:
-        """Drop every per-order record of the resting background orders among
-        ``order_ids`` that have left the book: filled, expired or cancelled."""
-        book = self.books[venue_id]
-        live = self._live[venue_id]
-        for oid in order_ids:
-            if oid in live and book.release(oid):
-                live.remove(oid)
-                del self.order_sides[oid]
+        if not book.release(order.order_id):
+            self._live[venue_id].add(order.order_id, order.side)
 
     def _background_flow(self, row: int) -> None:
         """Submit this tick's drawn orders and cancel, venue by venue."""
@@ -414,13 +387,8 @@ class MarketSim:
     def _cancel_one_background(self, venue_id: str, u: float) -> None:
         """Cancel the live background order at position ``int(u * len)``."""
         live = self._live[venue_id]
-        if not live:
-            return
-        oid = live.pick(u)
-        book = self.books[venue_id]
-        if book.remaining(oid) > 0:
-            book.cancel(oid)
-        self._forget(venue_id, [oid])
+        if live:
+            self.books[venue_id].cancel(live.pick(u))
 
     def _seed_depth(self) -> None:
         """Initial two-sided resting depth so early market orders have a book."""
@@ -441,31 +409,36 @@ class MarketSim:
 class _LiveSet:
     """One venue's resting background ids: O(1) add, remove and uniform pick.
 
-    A swap-remove list of the ids plus each id's position in it.
+    A swap-remove list of the ids plus each id's position in it. ``sides`` is
+    the sim's ``order_sides``, which every venue's set shares.
     """
 
-    __slots__ = ("ids", "pos")
+    __slots__ = ("ids", "pos", "sides")
 
-    def __init__(self) -> None:
+    def __init__(self, sides: dict[str, Side]) -> None:
         self.ids: list[str] = []
         self.pos: dict[str, int] = {}
-
-    def __contains__(self, order_id: str) -> bool:
-        return order_id in self.pos
+        self.sides = sides
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def add(self, order_id: str) -> None:
+    def add(self, order_id: str, side: Side) -> None:
         self.pos[order_id] = len(self.ids)
         self.ids.append(order_id)
+        self.sides[order_id] = side
 
-    def remove(self, order_id: str) -> None:
-        i = self.pos.pop(order_id)
+    def leave(self, book: OrderBook, order_id: str) -> None:
+        """``on_leave``: drop a departed background order; owners release the rest."""
+        i = self.pos.pop(order_id, None)
+        if i is None:
+            return
         last = self.ids.pop()
         if last != order_id:
             self.ids[i] = last
             self.pos[last] = i
+        del self.sides[order_id]
+        book.release(order_id)
 
     def pick(self, u: float) -> str:
         """The id at position ``int(u * len)`` for a uniform ``u`` in [0, 1)."""

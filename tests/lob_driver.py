@@ -20,6 +20,10 @@ holds (the same order or a new one), asserting after every operation:
     entries the order could cross: an FOK is cancelled exactly when they fall
     short of its size, and no pending AON could fill
   * iceberg refills losing time priority
+  * departures: the ids the book's ``on_leave`` hook reports during an
+    operation are exactly the orders it held, before or during it, that it
+    no longer holds (filled out, cancelled, expired, or a pending order that
+    did not come to rest), each once
   * determinism: replaying the identical sequence reproduces fills and state
 """
 
@@ -251,10 +255,28 @@ def _check_refill_priority(book: OrderBook, pre_map) -> None:
                     f"refilled slice {oid} did not lose time priority at {key}")
 
 
+def _check_departures(book: OrderBook, op: tuple, result, held: set, left: list) -> None:
+    """``left``, the ids reported during ``op``, against the ids ``held`` before it.
+
+    Besides those, the op's own order was held during it if it pended (an
+    AON or a stop, accepted) or came to rest.
+    """
+    if op[0] == "submit":
+        rested = result.disposition in (Disposition.RESTING, Disposition.PARTIAL_RESTING)
+        pended = op[1].tif is Tif.AON and result.disposition is not Disposition.REJECTED
+        if rested or pended:
+            held = held | {op[1].order_id}
+    expected = sorted(held - book.order_ids())
+    if sorted(left) != expected:
+        raise PropertyViolation(f"{op[0]} reported departures {left}, expected {expected}")
+
+
 def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
     """Drive one randomized sequence; returns (ops, fills) for replay checks."""
     rng = random.Random(seed)
-    book = OrderBook(session_close=10_000, log=EventLog())
+    left: list[str] = []
+    book = OrderBook(session_close=10_000, log=EventLog(),
+                     on_leave=lambda _, oid: left.append(oid))
     ops: list[tuple] = []
     orders: dict[str, Order] = {}   # each id's latest submission
     submitted_by_id: dict[str, int] = defaultdict(int)
@@ -277,7 +299,10 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
             orders[order.order_id] = order
             submitted_by_id[order.order_id] += order.quantity
             ops.append(("submit", order, clock))
-        _apply(book, ops[-1], orders)
+        held = book.order_ids()
+        left.clear()
+        result = _apply(book, ops[-1], orders)
+        _check_departures(book, ops[-1], result, held, left)
         book.check_invariants()
         _check_views(book)
         _check_conservation(book, submitted_by_id)
@@ -285,7 +310,8 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
     return ops, book.fills_since(0)
 
 
-def _apply(book: OrderBook, op: tuple, orders) -> None:
+def _apply(book: OrderBook, op: tuple, orders):
+    """Apply one op with its per-op checks; returns a submit's result, else None."""
     if op[0] == "submit":
         _, order, clock = op
         pre_map = _priority_map(book)
@@ -311,6 +337,7 @@ def _apply(book: OrderBook, op: tuple, orders) -> None:
             if cancelled and replace(book.snapshot(visibility="omniscient"), clock=0) \
                     != replace(pre_snap, clock=0):
                 raise PropertyViolation("failed FOK mutated the book")
+        return result
     elif op[0] == "cancel":
         _, target, clock = op
         book.clock = max(book.clock, clock)

@@ -217,6 +217,7 @@ class TestFrontierTables:
         scenario = load_scenario(path)
         with pytest.raises(ScenarioError, match=r"needs an \[optimizer\] section"):
             harness.run_frontier(scenario, tmp_path / "f")
+        assert not (tmp_path / "f").exists()
 
 
 class TestCli:

@@ -459,6 +459,77 @@ class TestCancel:
             book.cancel("NOPE")
 
 
+class TestLeaveHook:
+    """``on_leave`` reports each held order once, when it leaves the book."""
+
+    @staticmethod
+    def book(**kw):
+        left = []
+        book = OrderBook(on_leave=lambda b, oid: left.append(oid), **kw)
+        return book, left
+
+    def test_fires_once_for_a_filled_out_maker_a_cancel_and_an_expiry(self):
+        book, left = self.book()
+        book.submit(limit("S1", Side.SELL, 51, 100), clock=1)
+        book.submit(limit("S2", Side.SELL, 52, 100), clock=1)
+        book.submit(limit("B1", Side.BUY, 49, 100, tif=Tif.GTD, tif_time=5), clock=1)
+        book.submit(market("T", Side.BUY, 150), clock=2)   # S1 out, S2 half
+        assert left == ["S1"]
+        book.cancel("S2")
+        assert left == ["S1", "S2"]
+        book.expire(4)
+        assert left == ["S1", "S2"]
+        book.expire(5)
+        assert left == ["S1", "S2", "B1"]
+        assert book.order_ids() == set()
+
+    def test_silent_on_a_partial_fill_and_an_iceberg_refresh(self):
+        book, left = self.book()
+        book.submit(limit("ICE", Side.SELL, 51, 300, display=100), clock=1)
+        book.submit(limit("S2", Side.SELL, 51, 500), clock=1)
+        book.submit(market("T1", Side.BUY, 100), clock=2)   # ICE refreshes behind S2
+        book.submit(market("T2", Side.BUY, 200), clock=3)   # S2 partly filled
+        assert left == [] and book.remaining("ICE") == 200 and book.remaining("S2") == 300
+        book.submit(market("T3", Side.BUY, 500), clock=4)   # S2 out, then ICE's last slices
+        assert left == ["S2", "ICE"]
+
+    def test_ledger_is_final_and_release_succeeds_inside_the_hook(self):
+        seen = {}
+
+        def hook(book, oid):
+            seen[oid] = (book.ledger(oid), book.release(oid))
+
+        book = OrderBook(on_leave=hook, session_close=10)
+        book.submit(limit("S1", Side.SELL, 51, 100), clock=1)
+        book.submit(limit("D1", Side.BUY, 49, 70, tif=Tif.DAY), clock=1)
+        book.submit(limit("C1", Side.BUY, 48, 40), clock=1)
+        book.submit(market("T", Side.BUY, 100), clock=2)
+        book.submit(market("T2", Side.SELL, 30), clock=3)    # D1 partly filled
+        book.cancel("C1")
+        book.expire(10)
+        assert seen == {"S1": ((100, 100, 0), True), "C1": ((40, 0, 40), True),
+                        "D1": ((70, 30, 40), True)}
+        assert all(book.ledger(oid) == (0, 0, 0) for oid in seen)
+
+    def test_pending_orders_that_do_not_come_to_rest(self):
+        book, left = self.book()
+        book.submit(limit("S0", Side.SELL, 110, 100), clock=1)
+        book.submit(market("B0", Side.BUY, 100), clock=2)        # last trade 110
+        assert left == ["S0"]
+        book.submit(limit("BIDS", Side.BUY, 109, 1_000), clock=3)
+        book.submit(limit("AON", Side.SELL, 109, 300, tif=Tif.AON), clock=3)
+        assert left == ["S0", "AON"]     # fired on entry: filled from BIDS, prints 109
+        # both stops trigger on entry; STP trades out, STL converts and rests at 120
+        book.submit(Order("STP", Side.SELL, OrderKind.STOP, 200, stop_price=109), clock=4)
+        book.submit(Order("STL", Side.SELL, OrderKind.STOP, 50, limit_price=120,
+                          stop_price=109, stop_kind=OrderKind.LIMIT), clock=4)
+        book.submit(limit("GAT", Side.SELL, 109, 100, tif=Tif.GAT, tif_time=6), clock=4)
+        assert left == ["S0", "AON", "STP"]
+        book.expire(6)                   # GAT starts and fills
+        assert left == ["S0", "AON", "STP", "GAT"]
+        assert book.order_ids() == {"BIDS", "STL"}
+
+
 class TestFillRecord:
     def test_dropped_prefix_keeps_session_indices(self):
         book = OrderBook()

@@ -283,6 +283,8 @@ class TestRejectedThroughCli:
         ("market", "initial_price", "-5.0"),  # every quote would clamp to tick 1
         ("market", "initial_price", "0"),
         ("parent", "start", "-300"),          # the first bucket would count ticks before 0
+        ("parent", "price_limit_ticks", "-5"),  # no quote could meet it: nothing fills
+        ("parent", "price_limit_ticks", "0"),
     ])
     def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
         path = with_field(tmp_path, section, key, value)

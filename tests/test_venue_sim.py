@@ -1,5 +1,7 @@
 """Simulator determinism, calibration, fees, latency, and profile shapes."""
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -300,6 +302,21 @@ class TestPerOrderState:
             assert all(book.ledger(oid) == (0, 0, 0) for oid in gone)
         for way, ids in ways.items():
             assert ids, f"no background order left the book by {way}"
+
+    def test_books_die_with_the_sim_without_the_cyclic_collector(self):
+        # each book's on_leave hook holds neither its book nor the sim: a
+        # reference cycle would keep a finished run's books until a collection
+        gc.disable()
+        try:
+            sim = MarketSim(params(seed=5, session_ticks=600, cancel_prob=0.1),
+                            venues=THREE_VENUES)
+            sim.run_session()
+            assert all(len(live) for live in sim._live.values())
+            refs = [weakref.ref(book) for book in sim.books.values()]
+            del sim
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
 
     def test_children_keep_their_totals(self, session):
         sim, children = session
