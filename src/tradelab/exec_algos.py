@@ -60,6 +60,8 @@ class TiltPolicy:
             raise ValueError("factor must be positive")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -596,7 +596,7 @@ class OrderBook:
         self.last_trade_price = price
         if self.log is not None:
             self.log.record("fill", self.clock, taker_id, taker_side._value_, price, take,
-                            f"maker={maker_id},maker_hidden={int(hidden)}")
+                            f"maker={maker_id},maker_hidden={'1' if hidden else '0'}")
         queue = level.hidden if hidden else level.visible
         if not hidden:
             level.shown -= take
@@ -713,7 +713,8 @@ class OrderBook:
 
     def expire(self, clock: int) -> list[str]:
         """Remove dated orders past their horizon; activate due GAT orders."""
-        self.clock = max(self.clock, clock)
+        if clock > self.clock:
+            self.clock = clock
         if not (self._expiries and self._expiries[0][0] <= self.clock
                 or self._gats and self._gats[0][0] <= self.clock):
             return []

@@ -383,6 +383,8 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
     v = _read(parser, "scenario", SECTIONS["scenario"], None)
     if seed is not None:
         v["seed"] = seed
+    if v["seed"] < 0:   # every generator the run seeds takes only seeds >= 0
+        raise ScenarioError(f"invalid value for [scenario].seed: {v['seed']} (must be >= 0)")
     scenario = Scenario(seed=v["seed"], name=v["name"], report_format=v["format"],
                         config={"scenario": v})
 

@@ -43,6 +43,8 @@ class SlicePolicy:
             raise ValueError("display size must be positive")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def draw_slice_size(policy: SlicePolicy, rng: np.random.Generator) -> int:

@@ -30,10 +30,10 @@ order keeps its ledger until its owner releases it, as the algorithm runner
 does once a child is done. A scenario run hands ``MarketSim`` file-backed
 logs, so the log lines stream to disk as the session runs. On one full-day
 session over three venues (the benchmark's ``heavy_day``) memory grows by
-16-18 MB per run and under Python 3.11 a run takes 1.9 s. The simulator's
-own time per background order, outside the book, is 7.0 µs traced on
-``heavy_day`` and 9.6 µs on ``pov_seed_sweep`` (9.4 and 13.2 µs while it
-probed; 2-core Xeon, ``perfbench/run.py`` reference seconds).
+13-18 MB per run and under Python 3.11 a run takes 1.7 s. The simulator's
+own time per background order, outside the book, is 5.9-7.8 µs traced on
+``heavy_day`` and 10.6-11.3 µs on ``pov_seed_sweep`` (7.1-9.4 and 12.0-12.8
+µs with a per-tick flow helper; 2-core Xeon, ``perfbench`` reference seconds).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -222,8 +222,8 @@ class MarketSim:
         self.rng = np.random.default_rng(params.seed)
         self.clock = 0
         self.fundamental = float(params.initial_price_ticks)
-        # order id -> side, for every order the sim holds state for: resting
-        # background orders and every dispatched order
+        # order id -> side of every resting background order; each venue's
+        # _LiveSet keeps it
         self.order_sides: dict[str, Side] = {}
         self._live = {vid: _LiveSet(self.order_sides) for vid in self.venues}
         self.books: dict[str, OrderBook] = {
@@ -249,11 +249,9 @@ class MarketSim:
         with np.errstate(divide="ignore"):
             self._log_q = np.log1p(-np.minimum(1.0, 1.0 / np.array(
                 [mean * params.maker_size_mult, mean])))
-        # the current block of drawn flow (see _draw_block)
-        self._steps: list[float] = []
-        self._counts: Optional[list[list[int]]] = None
-        self._cancels: Optional[list[list[list[float]]]] = None
-        self._orders: Iterator[tuple[bool, bool, int, int]] = iter(())
+        # the current block of drawn flow: steps, counts, cancel picks and
+        # orders (see _draw_block)
+        self._block: tuple = ([], None, {}, iter(()))
         self._seed_depth()
 
     # -- wiring ---------------------------------------------------------------
@@ -289,18 +287,51 @@ class MarketSim:
         """Advance the clock dt ticks; fills and order events land in each book."""
         if dt <= 0:
             raise ValueError("dt must be positive")
+        limit_ttl = self.params.limit_ttl
+        books = list(self.books.values())
+        venues = [(f"bg-{vid}-", book, self._live[vid]) for vid, book in self.books.items()]
+        inflight = self._inflight
+        steps, counts, picks, orders = self._block
+        clock, bg = self.clock, self._bg_count
         for _ in range(dt):
-            self.clock += 1
-            row = (self.clock - 1) % BLOCK_TICKS
+            self.clock = clock = clock + 1
+            row = (clock - 1) % BLOCK_TICKS
             if row == 0:
                 self._draw_block()
-            self.fundamental += self._steps[row]
-            if self._inflight and self._inflight[0][0] <= self.clock:
-                self._deliver_arrivals()
-            for book in self.books.values():
-                book.expire(self.clock)
-            if self._counts is not None:
-                self._background_flow(row)
+                steps, counts, picks, orders = self._block
+            self.fundamental = fundamental = self.fundamental + steps[row]
+            while inflight and inflight[0][0] <= clock:
+                _, _, vid, order = heapq.heappop(inflight)
+                self.books[vid].submit(order, clock=clock)
+            for book in books:
+                book.expire(clock)
+            if counts is None:
+                continue
+            anchor = round(fundamental)
+            expiry = clock + limit_ttl
+            for (prefix, book, live), n in zip(venues, counts[row]):
+                for buy, market, qty, offset in islice(orders, n):
+                    bg += 1
+                    oid = f"{prefix}{bg}"
+                    side = _BUY if buy else _SELL
+                    if market:
+                        if (book.best_ask() if buy else book.best_bid()) is None:
+                            continue
+                        order = _new(Order, (oid, side, _MARKET, qty, None, None, None,
+                                             _MARKET, None, 0, _GTC, None))
+                    else:
+                        order = _new(Order, (oid, side, _LIMIT, qty, max(1, anchor + offset),
+                                             None, None, _MARKET, None, 0, _GTD, expiry))
+                    book.submit(order, clock)
+                    # keep state for a background order only while it rests
+                    if not book.release(oid):
+                        live.add(oid, side)
+            self._bg_count = bg
+            # a cancel touches only its venue's book, so it may follow every venue's orders
+            for v, u in picks.get(row, ()):
+                _, book, live = venues[v]
+                if live:
+                    book.cancel(live.pick(u))
 
     def run_session(self) -> None:
         """Advance to the session close; a no-op once the clock is there."""
@@ -314,19 +345,24 @@ class MarketSim:
         order count and cancel uniforms (hit, pick) per tick; then per order
         its side, market flag, size uniform and quote offset. A size inverts
         its uniform through the geometric law whose mean is the taker or
-        maker mean of the order's bucket.
+        maker mean of the order's bucket. Of the cancel uniforms only the
+        picks whose hit is below ``cancel_prob`` are kept, by block row.
         """
         p = self.params
         rng = self.rng
         venues = len(self.venues)
         steps = (rng.normal(0.0, self._tick_std, BLOCK_TICKS) if self._tick_std > 0
-                 else np.zeros(BLOCK_TICKS))
-        self._steps = steps.tolist()
+                 else np.zeros(BLOCK_TICKS)).tolist()
+        picks: dict[int, list[tuple[int, float]]] = {}   # row -> [(venue, pick)]
         if p.intensity <= 0:
-            self._counts = None
+            self._block = (steps, None, picks, iter(()))
             return
         counts = rng.poisson(p.intensity, (BLOCK_TICKS, venues))
-        cancels = rng.random((BLOCK_TICKS, venues, 2)) if p.cancel_prob > 0 else None
+        if p.cancel_prob > 0:
+            cancels = rng.random((BLOCK_TICKS, venues, 2))
+            rows, cols = np.nonzero(cancels[:, :, 0] < p.cancel_prob)
+            for row, v, u in zip(rows.tolist(), cols.tolist(), cancels[rows, cols, 1].tolist()):
+                picks.setdefault(row, []).append((v, u))
         n = int(counts.sum())
         buy = rng.random(n) < 0.5
         market = rng.random(n) < p.market_order_fraction
@@ -339,56 +375,10 @@ class MarketSim:
                           0, len(self.profile) - 1)
         log_q = self._log_q[market.astype(int), buckets]
         sizes = np.maximum(1, np.ceil(np.log1p(-size_u) / log_q)).astype(np.int64)
-        self._counts = counts.tolist()
-        self._cancels = None if cancels is None else cancels.tolist()
         # signed offsets: a buy quotes below the fundamental, a sell above
-        self._orders = zip(buy.tolist(), market.tolist(), sizes.tolist(),
-                           np.where(buy, -offsets, offsets).tolist())
-
-    def _deliver_arrivals(self) -> None:
-        while self._inflight and self._inflight[0][0] <= self.clock:
-            _, _, vid, order = heapq.heappop(self._inflight)
-            self.order_sides[order.order_id] = order.side
-            self.books[vid].submit(order, clock=self.clock)
-
-    def _submit_background(self, venue_id: str, order: Order) -> None:
-        """Submit a background order; keep state for it only while it rests."""
-        book = self.books[venue_id]
-        book.submit(order, clock=self.clock)
-        if not book.release(order.order_id):
-            self._live[venue_id].add(order.order_id, order.side)
-
-    def _background_flow(self, row: int) -> None:
-        """Submit this tick's drawn orders and cancel, venue by venue."""
-        p = self.params
-        counts = self._counts[row]
-        cancels = None if self._cancels is None else self._cancels[row]
-        anchor = round(self.fundamental)
-        expiry = self.clock + p.limit_ttl
-        for v, (vid, book) in enumerate(self.books.items()):
-            for buy, market, qty, offset in islice(self._orders, counts[v]):
-                self._bg_count += 1
-                oid = f"bg-{vid}-{self._bg_count}"
-                side = _BUY if buy else _SELL
-                if market:
-                    if (book.best_ask() if buy else book.best_bid()) is None:
-                        continue
-                    order = _new(Order, (oid, side, _MARKET, qty, None, None, None,
-                                         _MARKET, None, 0, _GTC, None))
-                else:
-                    order = _new(Order, (oid, side, _LIMIT, qty, max(1, anchor + offset),
-                                         None, None, _MARKET, None, 0, _GTD, expiry))
-                self._submit_background(vid, order)
-            if cancels is not None:
-                hit, pick = cancels[v]
-                if hit < p.cancel_prob:
-                    self._cancel_one_background(vid, pick)
-
-    def _cancel_one_background(self, venue_id: str, u: float) -> None:
-        """Cancel the live background order at position ``int(u * len)``."""
-        live = self._live[venue_id]
-        if live:
-            self.books[venue_id].cancel(live.pick(u))
+        self._block = (steps, counts.tolist(), picks,
+                       zip(buy.tolist(), market.tolist(), sizes.tolist(),
+                           np.where(buy, -offsets, offsets).tolist()))
 
     def _seed_depth(self) -> None:
         """Initial two-sided resting depth so early market orders have a book."""
@@ -397,13 +387,15 @@ class MarketSim:
         mean = self._mean_taker[0] * p.maker_size_mult
         sizes = iter(self.rng.geometric(min(1.0, 1.0 / (mean * 3)),
                                         2 * p.max_quote_offset * len(self.venues)).tolist())
-        for vid in self.venues:
+        for vid, book in self.books.items():
             for i in range(1, p.max_quote_offset + 1):
                 for side, price in ((_BUY, anchor - i), (_SELL, anchor + i)):
                     self._bg_count += 1
-                    self._submit_background(vid, Order(f"bg-{vid}-{self._bg_count}", side,
-                                                       _LIMIT, next(sizes),
-                                                       limit_price=max(1, price)))
+                    order = Order(f"bg-{vid}-{self._bg_count}", side, _LIMIT, next(sizes),
+                                  limit_price=max(1, price))
+                    book.submit(order, clock=self.clock)
+                    if not book.release(order.order_id):
+                        self._live[vid].add(order.order_id, side)
 
 
 class _LiveSet:

@@ -285,6 +285,9 @@ class TestRejectedThroughCli:
         ("parent", "start", "-300"),          # the first bucket would count ticks before 0
         ("parent", "price_limit_ticks", "-5"),  # no quote could meet it: nothing fills
         ("parent", "price_limit_ticks", "0"),
+        ("scenario", "seed", "-1"),           # the generators take only seeds >= 0
+        ("tactics", "slice_seed", "-1"),
+        ("algo", "tilt_seed", "-1"),
     ])
     def test_bad_or_inert_field_named(self, tmp_path, capsys, section, key, value):
         path = with_field(tmp_path, section, key, value)
@@ -367,6 +370,11 @@ class TestSeedOverride:
         assert cli_run(path, tmp_path, "--seed", "99") == cli.EXIT_OK
         echo = (tmp_path / "out" / "scenario_echo.ini").read_text()
         assert "tilt_seed = 5\n" in echo and "tilt_seed = 99" not in echo
+
+    def test_negative_seed_exits_before_any_file(self, tmp_path, capsys):
+        assert cli_run(write(tmp_path, EVERY), tmp_path, "--seed", "-1") == cli.EXIT_VALIDATION
+        assert "[scenario].seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_reaches_the_market(self, tmp_path):
         s = load_scenario(write(tmp_path, EVERY), seed=99)

@@ -10,6 +10,7 @@ import pytest
 from tradelab.orderbook import Fill, Order, OrderBook, OrderKind, Side, Tif
 from tradelab.scenario import load_scenario
 from tradelab.venue_sim import (
+    BLOCK_TICKS,
     MarketParams,
     MarketSim,
     VenueConfig,
@@ -239,7 +240,9 @@ class TestChunking:
         return ({vid: book.log.lines for vid, book in sim.books.items()},
                 all_fills(sim), sim.fundamental)
 
-    @pytest.mark.parametrize("step", [1, 7])
+    # a step of BLOCK_TICKS - 1, BLOCK_TICKS or BLOCK_TICKS + 1 starts or ends
+    # calls on block edges, where advance draws the next block mid-call
+    @pytest.mark.parametrize("step", [1, 7, BLOCK_TICKS - 1, BLOCK_TICKS, BLOCK_TICKS + 1])
     def test_advance_steps_give_the_session_stream(self, step):
         logs, fills, fundamental = self.run_in_steps(step)
         logs_s, fills_s, fundamental_s = self.run_in_steps(None)
@@ -273,7 +276,7 @@ class TestPerOrderState:
             live = book.order_ids()
             held |= live
             assert set(book._ledger) <= live | children.keys()
-        assert set(sim.order_sides) <= held | children.keys()
+        assert set(sim.order_sides) == {oid for oid in held if oid.startswith("bg-")}
 
     def test_live_set_is_the_background_ids_the_books_hold(self, session):
         sim, _ = session
