@@ -34,8 +34,9 @@ whatever the queue length and never shows which order an iceberg slice
 belongs to. The omniscient view copies each level's stored entries in C,
 builds the reserve entries and sums each level. A submit is one pass that
 records each fill where it takes it, into records built positionally (see
-``_new``): 11.9 µs of book time per submit under Python 3.11 (the
-benchmark's ``heavy_day``, traced).
+``_new``), and formats each event-log line once, where it records the event:
+11.1-11.7 µs of book time per submit under Python 3.11, those lines included
+(the benchmark's ``heavy_day``, traced).
 
 Owner hook: a book given ``on_leave`` calls ``on_leave(book, order_id)`` once
 for each order it held, resting or pending, that leaves it: its last share
@@ -116,6 +117,9 @@ _REJECTED = Disposition.REJECTED
 # Per-order records are built as ``_new(Record, (every field))``, what
 # ``Record._make`` calls minus its frame: ~0.3 µs a record against 0.5-2.1 µs.
 _new = tuple.__new__
+
+# A rejection reason goes into the flags column with its separators swapped.
+_FLAG_SAFE = str.maketrans(",=", ";:")
 
 
 class UnknownOrderError(KeyError):
@@ -202,13 +206,16 @@ class BookSnapshot:
 class EventLog:
     """Order-event recorder: one delimited line per event, written to a text stream.
 
-    Columns, in fixed order: event, clock, order-id, side, price-ticks, qty,
-    flags. ``flags`` is a comma-joined ``key=value`` list, passed in already
-    formatted; price is ``-`` for unpriced events (pure market orders).
+    The book owns the line grammar. Columns, in fixed order: event, clock,
+    order-id, side, price-ticks, qty, flags. ``flags`` is a comma-joined
+    ``key=value`` list; price is ``-`` for unpriced events (pure market
+    orders). Each line is formatted once, at the site in the book that records
+    the event.
 
-    ``record`` writes each finished line, newline included, to ``stream``. By
-    default that is an in-memory ``io.StringIO``, which ``lines`` and
-    ``to_text`` read back. A scenario run passes each venue's open
+    ``record`` takes one finished line, newline included, and writes it to
+    ``stream``: every line passes through it exactly once. By default the
+    stream is an in-memory ``io.StringIO``, which ``lines`` and ``to_text``
+    read back. A scenario run passes each venue's open
     ``events_<venue>.log`` instead (and closes it itself), so its lines stream
     to disk as they happen and the session holds none of them.
     """
@@ -217,10 +224,8 @@ class EventLog:
         self.stream = io.StringIO() if stream is None else stream
         self._write = self.stream.write
 
-    def record(self, event: str, clock: int, order_id: str, side: str,
-               price: Optional[int], qty: int, flags: str = "") -> None:
-        price_text = "-" if price is None else price
-        self._write(f"{event}|{clock}|{order_id}|{side}|{price_text}|{qty}|{flags}\n")
+    def record(self, line: str) -> None:
+        self._write(line)
 
     def to_text(self) -> str:
         """Every line recorded so far; in-memory logs only."""
@@ -248,10 +253,6 @@ class _Level:
         self.visible: dict[str, SnapshotEntry] = {}
         self.hidden: dict[str, SnapshotEntry] = {}
         self.shown = 0
-
-    @property
-    def empty(self) -> bool:
-        return not self.visible and not self.hidden
 
 
 class _Ledger:
@@ -376,12 +377,19 @@ class OrderBook:
         if clock is not None and clock > self.clock:
             self.clock = clock
         reason = self._validate(order)
-        oid, side, _, quantity, limit_price, _, _, _, _, _, tif, tif_time = order
+        (oid, side, kind, quantity, limit_price, display_quantity, stop_price, stop_kind,
+         _, disc, tif, tif_time) = order
         led = self._ledger.setdefault(oid, _Ledger())
         led.submitted += quantity
         if self.log is not None:
-            self.log.record("submit", self.clock, oid, side._value_, limit_price, quantity,
-                            self._submit_flags(order, rejected=reason))
+            self.log.record(
+                f"submit|{self.clock}|{oid}|{side._value_}|"
+                f"{'-' if limit_price is None else limit_price}|{quantity}|"
+                f"kind={kind._value_},tif={tif._value_},"
+                f"disp={quantity if display_quantity is None else display_quantity}"
+                f"{f',stop={stop_price},as={stop_kind._value_}' if kind is _STOP else ''}"
+                f"{f',disc={disc}' if disc else ''}"
+                f"{'' if reason is None else ',rejected=' + reason.translate(_FLAG_SAFE)}\n")
         if reason is not None:
             led.cancelled += quantity
             return SubmitResult((), _REJECTED, reason)
@@ -595,8 +603,8 @@ class OrderBook:
         ledger[maker_id].filled += take   # a resting order's ledger lives while it rests
         self.last_trade_price = price
         if self.log is not None:
-            self.log.record("fill", self.clock, taker_id, taker_side._value_, price, take,
-                            f"maker={maker_id},maker_hidden={'1' if hidden else '0'}")
+            self.log.record(f"fill|{self.clock}|{taker_id}|{taker_side._value_}|{price}|{take}|"
+                            f"maker={maker_id},maker_hidden={'1' if hidden else '0'}\n")
         queue = level.hidden if hidden else level.visible
         if not hidden:
             level.shown -= take
@@ -656,7 +664,8 @@ class OrderBook:
     def _rest(self, order: Order, leftover: int) -> None:
         oid, side, _, quantity, limit_price, display_quantity, _, _, _, discretion, _, _ = order
         display = min(quantity if display_quantity is None else display_quantity, leftover)
-        priority = (self.clock, self._next_seq())
+        self._seq += 1
+        priority = (self.clock, self._seq)
         levels = self._levels[side]
         level = levels.get(limit_price)
         if level is None:
@@ -676,7 +685,7 @@ class OrderBook:
         self._push_expiry(order)
 
     def _drop_if_empty(self, side: Side, level: _Level) -> None:
-        if level.empty:
+        if not level.visible and not level.hidden:
             del self._levels[side][level.price]
             prices = self._prices[side]
             del prices[bisect.bisect_left(prices, level.price)]
@@ -722,12 +731,16 @@ class OrderBook:
         while self._expiries and self._expiries[0][0] <= self.clock:
             _, order_id = heapq.heappop(self._expiries)
             order = self._index.get(order_id)
-            if order is None or not self._is_expired(order):
+            if order is None:
                 continue
+            tif, price = order.tif, order.limit_price
+            due = order.tif_time if tif is _GTD else self.session_close if tif is _DAY else None
+            if due is None or due > self.clock:
+                continue   # a later order under a reused id
             _, removed = self._remove(order_id)
             if self.log is not None:
-                self._log("expire", order_id, order.side._value_, order.limit_price,
-                          removed, f"tif={order.tif._value_}")
+                self.log.record(f"expire|{self.clock}|{order_id}|{order.side._value_}|"
+                                f"{'-' if price is None else price}|{removed}|tif={tif._value_}\n")
             expired.append(order_id)
         activated = False
         while self._gats and self._gats[0][0] <= self.clock:
@@ -744,13 +757,6 @@ class OrderBook:
         if (activated or expired) and (self._stops or self._aons):
             self._settle()
         return expired
-
-    def _is_expired(self, order: Order) -> bool:
-        if order.tif is _GTD and order.tif_time is not None:
-            return self.clock >= order.tif_time
-        if order.tif is _DAY and self.session_close is not None:
-            return self.clock >= self.session_close
-        return False
 
     def _push_expiry(self, order: Order) -> None:
         if order.tif is _GTD and order.tif_time is not None:
@@ -858,7 +864,7 @@ class OrderBook:
                 raise AssertionError("price index and levels differ in size")
             for price in prices:
                 level = self._levels[side][price]
-                if level.empty:
+                if not level.visible and not level.hidden:
                     raise AssertionError(f"empty level retained at {price}")
                 for queue, hidden in ((level.visible, False), (level.hidden, True)):
                     keys = [e.priority for e in queue.values()]
@@ -898,21 +904,10 @@ class OrderBook:
         self._seq += 1
         return self._seq
 
-    def _submit_flags(self, order: Order, rejected: Optional[str]) -> str:
-        _, _, kind, quantity, _, display_quantity, stop_price, stop_kind, _, disc, tif, _ = order
-        display = quantity if display_quantity is None else display_quantity
-        flags = f"kind={kind._value_},tif={tif._value_},disp={display}"
-        if kind is _STOP:
-            flags += f",stop={stop_price},as={stop_kind._value_}"
-        if disc:
-            flags += f",disc={disc}"
-        if rejected:
-            flags += ",rejected=" + rejected.replace(",", ";").replace("=", ":")
-        return flags
-
     def _log(self, event: str, order_id: str, side: str, price: Optional[int],
              qty: int, flags: str) -> None:
         # Callers pass enum text as ``member._value_``, a plain attribute read;
         # ``.value`` would go through the enum descriptor on every line.
         if self.log is not None:
-            self.log.record(event, self.clock, order_id, side, price, qty, flags)
+            self.log.record(f"{event}|{self.clock}|{order_id}|{side}|"
+                            f"{'-' if price is None else price}|{qty}|{flags}\n")

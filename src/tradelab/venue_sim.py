@@ -166,6 +166,8 @@ class MarketParams:
             raise ValueError("volatility must be >= 0")
         if self.adv <= 0:
             raise ValueError("adv must be positive")
+        if self.seed < 0:   # numpy's generators take only seeds >= 0
+            raise ValueError("seed must be >= 0")
         if self.session_ticks <= 0:
             raise ValueError("session_ticks must be positive")
         if self.tick_size <= 0:
@@ -323,7 +325,9 @@ class MarketSim:
                         order = _new(Order, (oid, side, _LIMIT, qty, max(1, anchor + offset),
                                              None, None, _MARKET, None, 0, _GTD, expiry))
                     book.submit(order, clock)
-                    # keep state for a background order only while it rests
+                    # keep state for a background order only while it rests; the
+                    # disposition is no test, as a settle pass may already have taken
+                    # a RESTING order out of the book
                     if not book.release(oid):
                         live.add(oid, side)
             self._bg_count = bg

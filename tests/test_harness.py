@@ -7,11 +7,13 @@ import pytest
 
 from tradelab import cli, harness
 from tradelab.exec_algos import run_algorithm
+from tradelab.orderbook import EventLog
 from tradelab.scenario import ScenarioError, load_scenario
 from tradelab.tca import TCAInputs, expanded_tc
 from tradelab.venue_sim import MarketSim
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 SMALL_RUN = """\
 [scenario]
@@ -177,6 +179,28 @@ class TestRun:
         for line in (out / "fills.log").read_text().splitlines()[1:]:
             t, price, qty = (int(x) for x in line.split("|"))
             assert (t, price, qty) in event_fills
+
+    @pytest.mark.parametrize("path", [SCENARIOS / "pov_quarter_day.ini",
+                                      INPUTS / "routed_day.ini"], ids=lambda p: p.stem)
+    def test_each_event_line_is_one_record_call(self, tmp_path, monkeypatch, path):
+        """No site in the book writes around ``EventLog.record``, so a tracer
+        that counts its calls counts the lines of the events files."""
+        calls = 0
+        record = EventLog.record
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            record(self, *args)
+
+        monkeypatch.setattr(EventLog, "record", counted)
+        scenario = load_scenario(path)
+        harness.run(scenario, tmp_path / "out")
+        header_lines = scenario.header().count("\n")
+        logs = sorted((tmp_path / "out").glob("events_*.log"))
+        assert len(logs) == len(scenario.venues)
+        body = sum(p.read_text().count("\n") - header_lines for p in logs)
+        assert calls == body > 10_000
 
 
 class TestFrontierTables:

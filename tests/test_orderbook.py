@@ -712,6 +712,27 @@ class TestEventLog:
             "cancel|33|ST1|sell|-|10|why=stop-into-empty-book\n"
             "trigger|33|ST2|sell|52|5|kind=stop,as=limit\n")
 
+    def test_golden_expire_lines_for_day_and_pending_stop(self, event_log):
+        """The two expire forms the test above leaves out: a DAY order at the
+        session close, and a GTD stop-market order while pending (price ``-``)."""
+        log, text = event_log
+        book = OrderBook(log=log, session_close=100)
+        book.submit(Order("ST", Side.BUY, OrderKind.STOP, 20, stop_price=60, tif=Tif.GTD,
+                          tif_time=50), clock=1)
+        book.submit(limit("D1", Side.BUY, 49, 10, display=4, tif=Tif.DAY), clock=2)
+        book.submit(limit("S1", Side.SELL, 51, 10), clock=3)
+        book.expire(49)
+        book.expire(50)
+        book.expire(99)
+        book.expire(100)
+        assert text() == (
+            "submit|1|ST|buy|-|20|kind=stop,tif=gtd,disp=20,stop=60,as=market\n"
+            "submit|2|D1|buy|49|10|kind=limit,tif=day,disp=4\n"
+            "submit|3|S1|sell|51|10|kind=limit,tif=gtc,disp=10\n"
+            "expire|50|ST|buy|-|20|tif=gtd\n"
+            "expire|100|D1|buy|49|10|tif=day\n")
+        assert book.order_ids() == {"S1"}
+
 
 class TestIndexedLayout:
     """Order-id lookup, dict-backed FIFO queues and lazily dropped GAT entries."""

@@ -171,6 +171,10 @@ class TestAdvance:
         with pytest.raises(ValueError):
             MarketSim(params()).advance(0)
 
+    def test_negative_seed_named_where_the_params_are_made(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            params(seed=-1)
+
     def test_run_session_at_the_close_is_a_no_op(self):
         sim = MarketSim(params(seed=2, session_ticks=300))
         sim.run_session()
