@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -234,37 +234,15 @@ class RunReport:
     arrival_price: Optional[float] = None      # currency
     final_price: Optional[float] = None        # currency
     decision_price: Optional[float] = None     # currency
-    is_report: Optional[ISReport] = None
+    tca: Optional[ISReport] = None
     fees: dict = field(default_factory=dict)
     frontier_files: list = field(default_factory=list)
     child_count: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "scenario_name": self.scenario_name,
-            "scenario_hash": self.scenario_hash,
-            "seed": self.seed,
-            "filled": self.filled,
-            "residual": self.residual,
-            "average_price": self.average_price,
-            "participation": self.participation,
-            "arrival_price": self.arrival_price,
-            "final_price": self.final_price,
-            "decision_price": self.decision_price,
-            "fees": {k: self.fees[k] for k in sorted(self.fees)},
-            "frontier_files": list(self.frontier_files),
-            "child_count": self.child_count,
-        }
-        if self.is_report is not None:
-            out["tca"] = {
-                "execution_cost": self.is_report.execution_cost,
-                "delay_cost": self.is_report.delay_cost,
-                "trade_related_cost": self.is_report.trade_related_cost,
-                "opportunity_cost": self.is_report.opportunity_cost,
-                "fixed_cost": self.is_report.fixed_cost,
-                "total": self.is_report.total,
-                "unexecuted": self.is_report.unexecuted,
-            }
+        out = asdict(self)
+        if self.tca is None:
+            del out["tca"]
         return out
 
     def to_json(self) -> str:
@@ -287,16 +265,12 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, header: str, body: str) -> None:
-    path.write_text(header + body)
-
-
 def run(scenario: Scenario, out_dir: Path) -> RunReport:
     """Execute a scenario and emit its artifact files into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = scenario.header()
-    _write(out / "scenario_echo.ini", header, scenario.echo())
+    (out / "scenario_echo.ini").write_text(header + scenario.echo())
     report = RunReport(scenario_name=scenario.name, scenario_hash=scenario.digest(),
                        seed=scenario.seed)
 
@@ -317,15 +291,15 @@ def run(scenario: Scenario, out_dir: Path) -> RunReport:
 
     fmt = scenario.report_format
     body = report.to_json() if fmt == "json" else report.to_csv()
-    _write(out / f"report.{fmt}", header, body)
+    (out / f"report.{fmt}").write_text(header + body)
     return report
 
 
 def _emit_trace_files(scenario: Scenario, trace: ExecutionTrace,
                       out: Path, header: str, report: RunReport) -> None:
-    tick = scenario.tick_size
-    fill_lines = [f"{f.tick}|{f.price}|{f.quantity}" for f in trace.fills]
-    _write(out / "fills.log", header, "\n".join(fill_lines) + ("\n" if fill_lines else ""))
+    tick = scenario.market.tick_size
+    fills = "".join(f"{f.tick}|{f.price}|{f.quantity}\n" for f in trace.fills)
+    (out / "fills.log").write_text(header + fills)
 
     report.filled = trace.filled
     report.residual = trace.residual
@@ -352,9 +326,9 @@ def _emit_trace_files(scenario: Scenario, trace: ExecutionTrace,
         arrival_price=report.arrival_price,
         fixed=scenario.tca.fixed + sum(trace.fees.values()),
     )
-    report.is_report = expanded_tc(inputs)
-    _write(out / "tca_report.txt", header,
-           report_text(report.is_report, side=scenario.parent.side.value))
+    report.tca = expanded_tc(inputs)
+    (out / "tca_report.txt").write_text(
+        header + report_text(report.tca, side=scenario.parent.side.value))
 
 
 def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
@@ -374,12 +348,12 @@ def run_frontier(scenario: Scenario, out_dir: Path) -> list[str]:
                           drift=opt.drift, alpha_min=opt.alpha_min,
                           alpha_max=opt.alpha_max)
         name = f"frontier_{benchmark}.txt"
-        _write(out / name, header, frontier_to_delimited(points))
+        (out / name).write_text(header + frontier_to_delimited(points))
         written.append(name)
     alphas = np.linspace(opt.alpha_min, opt.alpha_max, 400)
     rows = sample_cost_surface(coeffs, risk, alphas)
     surface = "alpha|mi|risk\n" + "".join(
         f"{float(a)!r}|{m!r}|{r!r}\n" for a, m, r in rows)
-    _write(out / "cost_surface.txt", header, surface)
+    (out / "cost_surface.txt").write_text(header + surface)
     written.append("cost_surface.txt")
     return written

@@ -261,10 +261,6 @@ class Scenario:
     tca: TCAConfig = field(default_factory=TCAConfig)
     config: dict = field(default_factory=dict)   # section -> {key: value}, echo order
 
-    @property
-    def tick_size(self) -> float:
-        return self.market.tick_size if self.market is not None else 1.0
-
     def coefficients(self) -> RateCoefficients:
         if self.cost is None:
             raise ScenarioError("scenario has no [cost_model] section")
@@ -451,6 +447,8 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
         v = read("optimizer", SECTIONS["optimizer"] + _LAMBDA_RANGE)
         v["lambda_grid"] = _lambda_grid(parser, v)
         scenario.optimizer = _make("optimizer", SECTIONS["optimizer"], OptimizerConfig, v)
+    elif scenario.cost is not None:   # only the frontier and the cost surface read it
+        raise ScenarioError("inert section [cost_model]: no [optimizer] section")
 
     scenario.tca = _make("tca", SECTIONS["tca"], TCAConfig, read("tca"))
     _validate(scenario)

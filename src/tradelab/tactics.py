@@ -292,16 +292,11 @@ def aggregate(venues: Sequence[tuple[VenueConfig, OrderBook]],
     asks: list[VirtualEntry] = []
     for config, book in venues:
         snap = book.snapshot(depth=depth, visibility="public")
-        for lvl in snap.bids:
-            if lvl.total > 0:
-                bids.append(VirtualEntry(config.venue_id, lvl.price, lvl.total,
-                                         probs.get(config.venue_id, 1.0),
-                                         config.taker_fee, config.latency))
-        for lvl in snap.asks:
-            if lvl.total > 0:
-                asks.append(VirtualEntry(config.venue_id, lvl.price, lvl.total,
-                                         probs.get(config.venue_id, 1.0),
-                                         config.taker_fee, config.latency))
+        prob = probs.get(config.venue_id, 1.0)
+        for levels, entries in ((snap.bids, bids), (snap.asks, asks)):
+            entries.extend(VirtualEntry(config.venue_id, lvl.price, lvl.total, prob,
+                                        config.taker_fee, config.latency)
+                           for lvl in levels if lvl.total > 0)
     bids.sort(key=lambda e: (-e.price, -e.exec_probability, e.venue_id))
     asks.sort(key=lambda e: (e.price, -e.exec_probability, e.venue_id))
     return VirtualBook(bids=tuple(bids), asks=tuple(asks))
@@ -320,27 +315,16 @@ class RouteWeights:
                 raise ValueError(f"{name} weight must be >= 0")
 
 
-@dataclass(frozen=True)
-class VenueCandidate:
-    venue_id: str
-    price: int                   # best opposite price for the child's side
-    exec_probability: float
-    latency: int
-    fee: float
-
-
-def candidates_from_virtual(vbook: VirtualBook, side: Side) -> list[VenueCandidate]:
-    """Best per-venue entries on the side an order of ``side`` would hit."""
+def candidates_from_virtual(vbook: VirtualBook, side: Side) -> list[VirtualEntry]:
+    """Each venue's best entry on the side an order of ``side`` would hit."""
     entries = vbook.asks if side is Side.BUY else vbook.bids
     best: dict[str, VirtualEntry] = {}
     for e in entries:
-        if e.venue_id not in best:
-            best[e.venue_id] = e
-    return [VenueCandidate(e.venue_id, e.price, e.exec_probability, e.latency, e.fee)
-            for e in best.values()]
+        best.setdefault(e.venue_id, e)
+    return list(best.values())
 
 
-def route(candidates: Sequence[VenueCandidate], side: Side,
+def route(candidates: Sequence[VirtualEntry], side: Side,
           weights: RouteWeights = RouteWeights()) -> str:
     """Pick the destination venue by weighted score; ties to lowest venue id.
 

@@ -22,8 +22,6 @@ from typing import Optional, Sequence
 class TapeTrade:
     price: float
     size: float
-    time: float = 0.0
-    aggressor: Optional[str] = None   # "buy" | "sell" when known
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,6 @@ class TCAInputs:
 
     ``decision_price`` may be omitted, in which case the arrival price (by
     convention the mid quote at order arrival) stands in as the benchmark.
-    ``session_close`` defaults to ``final_price`` when not given separately.
     """
 
     side: str                      # "buy" | "sell"
@@ -41,7 +38,6 @@ class TCAInputs:
     final_price: float             # P_N, end of horizon
     decision_price: Optional[float] = None    # P_d
     arrival_price: Optional[float] = None     # P_0, order release
-    session_close: Optional[float] = None     # P_n
     fixed: float = 0.0
 
     @property
@@ -154,7 +150,7 @@ def expanded_tc(inputs: TCAInputs) -> ISReport:
 
     delay = sign * sum x_j (P_0 - P_d)
     trade_related = sign * (sum x_j p_j - sum x_j P_0)
-    opportunity = sign * (X - sum x_j)(P_n - P_d)
+    opportunity = sign * (X - sum x_j)(P_N - P_d), shortfall's own term
 
     delay + trade_related telescopes exactly into shortfall's execution cost.
     """
@@ -167,10 +163,8 @@ def expanded_tc(inputs: TCAInputs) -> ISReport:
     p0 = inputs.arrival_price
     delay = s * executed * (p0 - bench)
     trade_related = s * (inputs.traded_value() - executed * p0)
-    close = inputs.final_price if inputs.session_close is None else inputs.session_close
-    opportunity = s * base.unexecuted * (close - bench) + 0
-    total = delay + trade_related + opportunity + inputs.fixed
-    return ISReport(execution_cost=base.execution_cost, opportunity_cost=opportunity,
+    total = delay + trade_related + base.opportunity_cost + inputs.fixed
+    return ISReport(execution_cost=base.execution_cost, opportunity_cost=base.opportunity_cost,
                     fixed_cost=inputs.fixed, total=total, unexecuted=base.unexecuted,
                     delay_cost=delay, trade_related_cost=trade_related)
 

@@ -32,8 +32,9 @@ logs, so the log lines stream to disk as the session runs. On one full-day
 session over three venues (the benchmark's ``heavy_day``) memory grows by
 13-18 MB per run and under Python 3.11 a run takes 1.7 s. The simulator's
 own time per background order, outside the book, is 5.9-7.8 µs traced on
-``heavy_day`` and 10.6-11.3 µs on ``pov_seed_sweep`` (7.1-9.4 and 12.0-12.8
-µs with a per-tick flow helper; 2-core Xeon, ``perfbench`` reference seconds).
+``heavy_day`` and 10.6-11.3 µs on ``pov_seed_sweep``, with the flow drawn
+inside ``advance`` rather than in a per-tick helper (2-core Xeon,
+``perfbench`` reference seconds).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Fixture replays, end-to-end scenario runs, frontier tables, CLI exit codes."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -235,10 +236,8 @@ class TestFrontierTables:
             assert len(lines) == 2
 
     def test_run_frontier_needs_an_optimizer(self, tmp_path):
-        path = tmp_path / "no_optimizer.ini"
-        path.write_text((SCENARIOS / "twap_quarter_day.ini").read_text()
-                        .split("[optimizer]")[0])   # keeps [cost_model]
-        scenario = load_scenario(path)
+        # a file cannot load this way: [cost_model] without [optimizer] is inert
+        scenario = replace(load_scenario(SCENARIOS / "twap_quarter_day.ini"), optimizer=None)
         with pytest.raises(ScenarioError, match=r"needs an \[optimizer\] section"):
             harness.run_frontier(scenario, tmp_path / "f")
         assert not (tmp_path / "f").exists()

@@ -307,6 +307,16 @@ class TestRejectedThroughCli:
         assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
         assert f"inert section [{section}]: no [algo] section" in capsys.readouterr().err
 
+    def test_cost_model_without_optimizer_named(self, tmp_path, capsys):
+        # only the frontier reads [cost_model]: without [optimizer] its keys
+        # moved the hash, and the run exited 0 with no cost artifact
+        path = only_sections(tmp_path, "scenario", "market", "venue:V1", "parent", "algo",
+                             "tactics", "cost_model", "tca")
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert ("inert section [cost_model]: no [optimizer] section"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_market_alone_is_nothing_to_run(self, tmp_path, capsys):
         assert cli_run(only_sections(tmp_path, "scenario", "market"),
                        tmp_path) == cli.EXIT_VALIDATION

@@ -19,7 +19,7 @@ from tradelab.tactics import (
     RouteWeights,
     SlicePolicy,
     SnipeWatch,
-    VenueCandidate,
+    VirtualEntry,
     aggregate,
     candidates_from_virtual,
     draw_slice_size,
@@ -232,21 +232,27 @@ class TestSnipe:
         assert shot is not None
 
 
+def entry(venue_id, *, price, exec_probability, latency, fee, visible_qty=100):
+    """A venue's best entry, by keyword: VirtualEntry puts fee before latency."""
+    return VirtualEntry(venue_id=venue_id, price=price, visible_qty=visible_qty,
+                        exec_probability=exec_probability, fee=fee, latency=latency)
+
+
 def make_candidates():
     return [
-        VenueCandidate("A", price=100, exec_probability=0.1, latency=5, fee=0.003),
-        VenueCandidate("B", price=101, exec_probability=0.9, latency=5, fee=0.003),
+        entry("A", price=100, exec_probability=0.1, latency=5, fee=0.003),
+        entry("B", price=101, exec_probability=0.9, latency=5, fee=0.003),
     ]
 
 
 class TestRoute:
     def test_single_venue(self):
-        only = [VenueCandidate("X", 100, 0.5, 1, 0.0)]
+        only = [entry("X", price=100, exec_probability=0.5, latency=1, fee=0.0)]
         assert route(only, Side.BUY) == "X"
 
     def test_fee_dominance(self):
-        cands = [VenueCandidate("A", 100, 0.5, 1, 0.004),
-                 VenueCandidate("B", 100, 0.5, 1, 0.001)]
+        cands = [entry("A", price=100, exec_probability=0.5, latency=1, fee=0.004),
+                 entry("B", price=100, exec_probability=0.5, latency=1, fee=0.001)]
         assert route(cands, Side.BUY) == "B"
 
     def test_probability_heavy_weights_pick_reliable_venue(self):
@@ -257,9 +263,9 @@ class TestRoute:
         assert route(make_candidates(), Side.BUY, price_only) == "A"
 
     def test_scale_invariance(self):
-        cands = [VenueCandidate("A", 100, 0.7, 2, 0.002),
-                 VenueCandidate("B", 101, 0.9, 1, 0.001),
-                 VenueCandidate("C", 100, 0.4, 9, 0.000)]
+        cands = [entry("A", price=100, exec_probability=0.7, latency=2, fee=0.002),
+                 entry("B", price=101, exec_probability=0.9, latency=1, fee=0.001),
+                 entry("C", price=100, exec_probability=0.4, latency=9, fee=0.000)]
         w = RouteWeights(price=1.3, exec_probability=2.0, latency=0.7, fee=1.1)
         for k in (0.25, 1.0, 4.0, 100.0):
             scaled = RouteWeights(price=w.price * k, exec_probability=w.exec_probability * k,
@@ -267,8 +273,8 @@ class TestRoute:
             assert route(cands, Side.BUY, scaled) == route(cands, Side.BUY, w)
 
     def test_tie_breaks_to_lowest_venue_id(self):
-        cands = [VenueCandidate("Z", 100, 0.5, 1, 0.001),
-                 VenueCandidate("A", 100, 0.5, 1, 0.001)]
+        cands = [entry("Z", price=100, exec_probability=0.5, latency=1, fee=0.001),
+                 entry("A", price=100, exec_probability=0.5, latency=1, fee=0.001)]
         assert route(cands, Side.BUY) == "A"
 
 
@@ -334,7 +340,11 @@ class TestAggregate:
         top, full = aggregate(venues, depth=1), aggregate(venues)
         assert len(top.bids) == len(top.asks) == 3 < len(full.asks)
         for side in (Side.BUY, Side.SELL):
-            assert candidates_from_virtual(top, side) == candidates_from_virtual(full, side)
+            cands = candidates_from_virtual(top, side)
+            assert cands == candidates_from_virtual(full, side)
+            # the router scores the consolidated book's own entries, not copies
+            entries = top.asks if side is Side.BUY else top.bids
+            assert all(any(c is e for e in entries) for c in cands)
 
 
 class TestCatching:
