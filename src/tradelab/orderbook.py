@@ -34,9 +34,21 @@ whatever the queue length and never shows which order an iceberg slice
 belongs to. The omniscient view copies each level's stored entries in C,
 builds the reserve entries and sums each level. A submit is one pass that
 records each fill where it takes it, into records built positionally (see
-``_new``), and formats each event-log line once, where it records the event:
-11.1-11.7 µs of book time per submit under Python 3.11, those lines included
-(the benchmark's ``heavy_day``, traced).
+``_new``), and formats each event-log line once, where it records the event.
+
+A plain order -- a fully displayed, non-discretionary GTC, GTD or IOC limit
+or market order -- is placed in ``submit``'s own frame. That is every order
+the simulator's background flow and the algorithm runner send. It enters the
+matching pass (``_execute``) only when the opposite side has a price within
+its limit or has ever rested discretion, and its leftover rests as one
+visible entry. Every other order, and every re-entry (a triggered stop, a
+started GAT order), goes through ``_enter`` and ``_rest``. The widest
+discretion each side has rested is a high-water mark, never lowered: once a
+side has rested a discretionary order, every plain order against it takes
+the matching pass. On the benchmark's ``heavy_day`` 44 % of submits take
+it, and the book spends 13.0 µs per submit under Python 3.11, event-log
+lines included, against 15.0 µs when every order went through ``_enter``
+(one traced pair).
 
 Owner hook: a book given ``on_leave`` calls ``on_leave(book, order_id)`` once
 for each order it held, resting or pending, that leaves it: its last share
@@ -102,6 +114,7 @@ _MARKET = OrderKind.MARKET
 _LIMIT = OrderKind.LIMIT
 _PROTECTED = OrderKind.MARKET_WITH_PROTECTION
 _STOP = OrderKind.STOP
+_GTC = Tif.GTC
 _GTD = Tif.GTD
 _GAT = Tif.GAT
 _IOC = Tif.IOC
@@ -294,6 +307,7 @@ class OrderBook:
         self._gats: list[tuple[int, int, Order]] = []
         self._expiries: list[tuple[int, str]] = []      # heap (expiry tick, order_id)
         self._ledger: dict[str, _Ledger] = {}
+        # the widest discretion a side has rested: a high-water mark, never lowered
         self._max_discretion: dict[Side, int] = {_BUY: 0, _SELL: 0}
         self._seq = 0
         self._fills: list[Fill] = []
@@ -399,13 +413,53 @@ class OrderBook:
             self._index[oid] = order
             return SubmitResult((), _RESTING)
 
-        result = self._enter(order)
+        if ((kind is _LIMIT or kind is _MARKET) and display_quantity is None and not disc
+                and (tif is _GTC or tif is _GTD or tif is _IOC)):
+            # A plain order (see the module docstring), placed here as
+            # ``_enter`` and ``_rest`` would place it, with no matching pass
+            # when nothing on the other side is within reach.
+            buy = side is _BUY
+            opp = _SELL if buy else _BUY
+            prices = self._prices[opp]
+            if prices and (limit_price is None or (prices[0] <= limit_price if buy
+                                                    else prices[-1] >= limit_price)) \
+                    or self._max_discretion[opp]:
+                fills, leftover = self._execute(order, quantity, limit_price)
+                fills = tuple(fills)
+            else:
+                fills, leftover = (), quantity
+            if not leftover:
+                disp = _FILLED
+            elif kind is _MARKET or tif is _IOC:
+                led.cancelled += leftover
+                self._log("cancel", oid, side._value_, limit_price, leftover,
+                          "why=market-exhausted" if kind is _MARKET else "why=ioc")
+                disp = _CANCELLED
+            else:
+                self._seq += 1
+                levels = self._levels[side]
+                level = levels.get(limit_price)
+                if level is None:
+                    level = levels[limit_price] = _Level(limit_price)
+                    bisect.insort(self._prices[side], limit_price)
+                level.visible[oid] = entry = _new(
+                    SnapshotEntry, (oid, leftover, False, (self.clock, self._seq)))
+                level.shown += leftover
+                self._index[oid] = order
+                self._resting[oid] = entry
+                if tif is _GTD:
+                    heapq.heappush(self._expiries, (tif_time, oid))
+                disp = _PARTIAL_RESTING if fills else _RESTING
+            result = _new(SubmitResult, (fills, disp, None))
+        else:
+            result = self._enter(order)
         if self._stops or self._aons:
             self._settle()
         return result
 
     def _enter(self, order: Order) -> SubmitResult:
-        """Place an active (non-GAT-deferred) order: match, rest, or pend."""
+        """Place an active order that is not plain, or a re-entry (a triggered
+        stop, a started GAT order): match, rest, or pend."""
         kind = order.kind
         if kind is _STOP:
             self._next_seq()   # pending entries draw a sequence number like resting ones

@@ -30,11 +30,11 @@ order keeps its ledger until its owner releases it, as the algorithm runner
 does once a child is done. A scenario run hands ``MarketSim`` file-backed
 logs, so the log lines stream to disk as the session runs. On one full-day
 session over three venues (the benchmark's ``heavy_day``) memory grows by
-13-18 MB per run and under Python 3.11 a run takes 1.7 s. The simulator's
-own time per background order, outside the book, is 5.9-7.8 µs traced on
-``heavy_day`` and 10.6-11.3 µs on ``pov_seed_sweep``, with the flow drawn
-inside ``advance`` rather than in a per-tick helper (2-core Xeon,
-``perfbench`` reference seconds).
+13-18 MB per run (bimodal in the seed) and under Python 3.11 a run takes
+1.4 s. The simulator's own time per background order, outside the book, is
+7.9 µs traced on ``heavy_day`` and 11.1 µs on ``pov_seed_sweep``, with the
+flow drawn inside ``advance`` rather than in a per-tick helper (2-core Xeon,
+``perfbench`` reference seconds, one traced pair).
 """
 
 from __future__ import annotations

@@ -25,6 +25,11 @@ holds (the same order or a new one), asserting after every operation:
     no longer holds (filled out, cancelled, expired, or a pending order that
     did not come to rest), each once
   * determinism: replaying the identical sequence reproduces fills and state
+
+``run_differential`` drives the same sequences on two books, the second with
+every plain order (the ones ``OrderBook.submit`` places in its own frame)
+swapped for a twin that the book places through ``_enter``, and requires the
+two to agree after every operation.
 """
 
 from __future__ import annotations
@@ -271,6 +276,22 @@ def _check_departures(book: OrderBook, op: tuple, result, held: set, left: list)
         raise PropertyViolation(f"{op[0]} reported departures {left}, expected {expected}")
 
 
+def _next_op(rng: random.Random, step: int, clock: int, book: OrderBook, orders) -> tuple:
+    """Draw the next op against ``book``; ``orders`` holds each id's latest submission."""
+    roll = rng.random()
+    live = sorted(book.order_ids())
+    gone = sorted(set(orders).difference(live))   # filled, cancelled or expired
+    if roll < 0.12 and live:
+        return ("cancel", rng.choice(live), clock)
+    if roll < 0.18:
+        return ("expire", clock)
+    order = _random_order(rng, step, book)
+    if roll < 0.26 and gone:   # resubmit an id: the same order, or a new one
+        oid = rng.choice(gone)
+        order = orders[oid] if rng.random() < 0.5 else order._replace(order_id=oid)
+    return ("submit", order, clock)
+
+
 def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
     """Drive one randomized sequence; returns (ops, fills) for replay checks."""
     rng = random.Random(seed)
@@ -283,22 +304,11 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
     clock = 0
     for step in range(n_ops):
         clock += rng.randint(0, 3)
-        roll = rng.random()
-        live = sorted(book.order_ids())
-        gone = sorted(set(orders).difference(live))   # filled, cancelled or expired
-        if roll < 0.12 and live:
-            target = rng.choice(live)
-            ops.append(("cancel", target, clock))
-        elif roll < 0.18:
-            ops.append(("expire", clock))
-        else:
-            order = _random_order(rng, step, book)
-            if roll < 0.26 and gone:   # resubmit an id: the same order, or a new one
-                oid = rng.choice(gone)
-                order = orders[oid] if rng.random() < 0.5 else order._replace(order_id=oid)
+        ops.append(_next_op(rng, step, clock, book, orders))
+        if ops[-1][0] == "submit":
+            order = ops[-1][1]
             orders[order.order_id] = order
             submitted_by_id[order.order_id] += order.quantity
-            ops.append(("submit", order, clock))
         held = book.order_ids()
         left.clear()
         result = _apply(book, ops[-1], orders)
@@ -338,29 +348,80 @@ def _apply(book: OrderBook, op: tuple, orders):
                     != replace(pre_snap, clock=0):
                 raise PropertyViolation("failed FOK mutated the book")
         return result
-    elif op[0] == "cancel":
+    _step(book, op)
+
+
+def _step(book: OrderBook, op: tuple):
+    """Apply one op, unchecked; returns a submit's result, a cancel's removed
+    shares, or the ids an expire removed."""
+    if op[0] == "submit":
+        _, order, clock = op
+        return book.submit(order, clock=clock)
+    if op[0] == "cancel":
         _, target, clock = op
         book.clock = max(book.clock, clock)
-        book.cancel(target)
-    else:
-        _, clock = op
-        book.expire(clock)
+        return book.cancel(target)
+    return book.expire(op[1])
 
 
 def replay(ops) -> tuple[list, "OrderBook"]:
     """Re-run a recorded op stream on a fresh book; returns (fills, book)."""
     book = OrderBook(session_close=10_000, log=EventLog())
     for op in ops:
-        if op[0] == "submit":
-            _, order, clock = op
-            book.submit(order, clock=clock)
-        elif op[0] == "cancel":
-            _, target, clock = op
-            book.clock = max(book.clock, clock)
-            book.cancel(target)
-        else:
-            book.expire(op[1])
+        _step(book, op)
     return book.fills_since(0), book
+
+
+def twin(order: Order) -> Order:
+    """A plain order's book-equivalent twin that ``_enter`` places: its display
+    size set to its quantity, which shows and logs the same. Others unchanged.
+
+    Plain orders, which ``OrderBook.submit`` places in its own frame, are the
+    fully displayed, non-discretionary GTC, GTD or IOC limit and market orders.
+    """
+    plain = (order.kind in (OrderKind.LIMIT, OrderKind.MARKET)
+             and order.display_quantity is None and order.discretion_offset == 0
+             and order.tif in (Tif.GTC, Tif.GTD, Tif.IOC))
+    return order._replace(display_quantity=order.quantity) if plain else order
+
+
+def run_differential(seed: int, n_ops: int = 12) -> int:
+    """Drive one seeded sequence on two books, as generated and with every
+    plain order swapped for its ``twin``; returns the plain submits it made.
+
+    After every operation the two books must agree on the event-log text, the
+    operation's return value (a submit's fills and disposition), the
+    omniscient snapshot, every id's ledger and the ``on_leave`` reports.
+    """
+    rng = random.Random(seed)
+    books, left = [], []
+    for _ in range(2):
+        departed: list[str] = []
+        books.append(OrderBook(session_close=10_000, log=EventLog(),
+                               on_leave=lambda _, oid, departed=departed: departed.append(oid)))
+        left.append(departed)
+    orders: dict[str, Order] = {}
+    clock = plain = 0
+    for step in range(n_ops):
+        clock += rng.randint(0, 3)
+        op = _next_op(rng, step, clock, books[0], orders)
+        twin_op = op
+        if op[0] == "submit":
+            orders[op[1].order_id] = op[1]
+            twin_op = ("submit", twin(op[1]), clock)
+            plain += twin_op[1] is not op[1]
+        seen = []
+        for book, departed, each in zip(books, left, (op, twin_op)):
+            result = _step(book, each)
+            seen.append((book.log.to_text(), result, book.snapshot(visibility="omniscient"),
+                         {oid: book.ledger(oid) for oid in orders}, departed[:]))
+            departed.clear()
+        if seen[0] != seen[1]:
+            what = ("event log", "result", "omniscient snapshot", "ledgers", "departures")
+            differ = [name for name, a, b in zip(what, *seen) if a != b]
+            raise PropertyViolation(f"seed {seed}, op {step} {op}: the twin run differs in "
+                                    f"{', '.join(differ)}")
+    return plain
 
 
 def run_suite(n_sequences: int, n_ops: int = 12, seed0: int = 0) -> int:

@@ -16,6 +16,14 @@ def test_longer_sequences():
     assert lob_driver.run_suite(50, n_ops=60, seed0=10_000) == 50
 
 
+def test_plain_orders_place_as_their_enter_twins():
+    # every plain order against its twin through ``_enter``, beside resting
+    # discretionary, iceberg and hidden orders and pending stops and AONs
+    plain = sum(lob_driver.run_differential(seed, n_ops=12) for seed in range(600))
+    plain += sum(lob_driver.run_differential(seed, n_ops=60) for seed in range(10_000, 10_050))
+    assert plain > 2000
+
+
 def test_crossable_matches_actual_ioc_fill():
     # the FOK feasibility scan must mirror what a matching pass can take
     import copy
