@@ -261,10 +261,7 @@ class ExecutionTrace:
     arrival_price: Optional[float] = None   # ticks (mid at start)
     final_price: Optional[float] = None     # ticks (mid at end)
     fees: dict = field(default_factory=dict)
-
-    @property
-    def filled(self) -> int:
-        return sum(f.quantity for f in self.fills)
+    filled: int = 0   # the shares of ``fills``, added as each is appended
 
     def average_price(self) -> Optional[float]:
         done = self.filled
@@ -344,24 +341,29 @@ class _Run:
         order their children were submitted, whichever venue they filled on.
         """
         ids, trace = self.ids, self.trace
+        count_side = self.count_side
+        volume = other = 0
         own = []
         for vid, book in self.sim.books.items():
             fills = book.fills_since(self._cursors[vid])
             self._cursors[vid] += len(fills)
             book.drop_fills(self._cursors[vid])
             for f in fills:
-                self.volume += f.quantity
+                volume += f.quantity
                 if f.taker_order_id in ids:
                     own.append((f.time, ids[f.taker_order_id], vid, f, "taker"))
                 elif f.maker_order_id in ids:
                     own.append((f.time, ids[f.maker_order_id], vid, f, "maker"))
-                elif self.count_side is None or f.taker_side is self.count_side:
-                    self.other_volume += f.quantity
+                elif count_side is None or f.taker_side is count_side:
+                    other += f.quantity
+        self.volume += volume
+        self.other_volume += other
         own.sort(key=lambda item: item[:2])
         for _, _, vid, f, role in own:
             child = f.taker_order_id if role == "taker" else f.maker_order_id
             trace.fills.append(TraceFill(tick=f.time, price=f.price, quantity=f.quantity,
                                          child_id=child, venue_id=vid, role=role))
+            trace.filled += f.quantity
             venue = self.sim.venues[vid]
             trace.fees[vid] = trace.fees.get(vid, 0.0) + settle_fees(venue, f, role)
         self.retire()

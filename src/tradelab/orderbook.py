@@ -753,11 +753,21 @@ class OrderBook:
             raise UnknownOrderError(order_id)
         entry = self._resting.pop(order_id, None)
         if entry is not None:
-            removed = entry.quantity + self._reserve.pop(order_id, 0)
-            level = self._levels[order.side][order.limit_price]
-            del (level.hidden if entry.hidden else level.visible)[order_id]
-            level.shown -= 0 if entry.hidden else entry.quantity
-            self._drop_if_empty(order.side, level)
+            _, removed, hidden, _ = entry
+            side, price = order.side, order.limit_price
+            levels = self._levels[side]
+            level = levels[price]
+            if hidden:
+                del level.hidden[order_id]
+            else:
+                del level.visible[order_id]
+                level.shown -= removed
+            if not (level.visible or level.hidden):
+                del levels[price]
+                prices = self._prices[side]
+                del prices[bisect.bisect_left(prices, price)]
+            if self._reserve:   # the shares behind an iceberg's slice
+                removed += self._reserve.pop(order_id, 0)
         else:
             removed = order.quantity
             # A GAT order is in neither dict: expire skips its heap entry.
@@ -778,27 +788,27 @@ class OrderBook:
         """Remove dated orders past their horizon; activate due GAT orders."""
         if clock > self.clock:
             self.clock = clock
-        if not (self._expiries and self._expiries[0][0] <= self.clock
-                or self._gats and self._gats[0][0] <= self.clock):
+        clock, expiries, gats = self.clock, self._expiries, self._gats
+        if not (expiries and expiries[0][0] <= clock or gats and gats[0][0] <= clock):
             return []
         expired: list[str] = []
-        while self._expiries and self._expiries[0][0] <= self.clock:
-            _, order_id = heapq.heappop(self._expiries)
+        while expiries and expiries[0][0] <= clock:
+            _, order_id = heapq.heappop(expiries)
             order = self._index.get(order_id)
             if order is None:
                 continue
             tif, price = order.tif, order.limit_price
             due = order.tif_time if tif is _GTD else self.session_close if tif is _DAY else None
-            if due is None or due > self.clock:
+            if due is None or due > clock:
                 continue   # a later order under a reused id
             _, removed = self._remove(order_id)
             if self.log is not None:
-                self.log.record(f"expire|{self.clock}|{order_id}|{order.side._value_}|"
+                self.log.record(f"expire|{clock}|{order_id}|{order.side._value_}|"
                                 f"{'-' if price is None else price}|{removed}|tif={tif._value_}\n")
             expired.append(order_id)
         activated = False
-        while self._gats and self._gats[0][0] <= self.clock:
-            _, _, order = heapq.heappop(self._gats)
+        while gats and gats[0][0] <= clock:
+            _, _, order = heapq.heappop(gats)
             oid = order.order_id
             if self._index.get(oid) is not order or oid in self._resting or oid in self._stops:
                 continue   # cancelled before its start, or a resubmission already activated

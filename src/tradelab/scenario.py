@@ -14,7 +14,9 @@ section the tables do not hold, naming a key that only another type reads as
 inert; ``Scenario.echo`` writes the same tables back, so the echo is a
 complete, reproducible description whose hash identifies the run. The one
 input-only spelling is ``[optimizer] lambda_min/lambda_max/lambda_points``,
-which the loader turns into the ``lambda_grid`` it echoes.
+which the loader turns into the ``lambda_grid`` it echoes. Only the
+previous-close frontier adds ``[optimizer] drift``, so with ``benchmark =
+arrival`` the key is inert and the echo leaves it out.
 
 Prices in the file are in currency; they convert to integer ticks through
 ``market.tick_size`` wherever they meet the book.
@@ -447,6 +449,9 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
         v = read("optimizer", SECTIONS["optimizer"] + _LAMBDA_RANGE)
         v["lambda_grid"] = _lambda_grid(parser, v)
         scenario.optimizer = _make("optimizer", SECTIONS["optimizer"], OptimizerConfig, v)
+        if v["benchmark"] == "arrival":   # only the previous-close frontier adds drift
+            _reject("optimizer", ("drift",), parser, "benchmark = arrival never reads it")
+            v["drift"] = None
     elif scenario.cost is not None:   # only the frontier and the cost surface read it
         raise ScenarioError("inert section [cost_model]: no [optimizer] section")
 

@@ -24,17 +24,20 @@ how ``advance`` is called. Stream v1 drew 3-4 scalar values per order and
 
 Per-order state follows the live book. Each book reports every order that
 leaves it (filled out, expired or cancelled) through its ``on_leave`` hook,
-and the venue's ``_LiveSet`` then drops a background order's ledger, side
-and slot, so the simulator never probes a book for departures. A dispatched
-order keeps its ledger until its owner releases it, as the algorithm runner
-does once a child is done. A scenario run hands ``MarketSim`` file-backed
-logs, so the log lines stream to disk as the session runs. On one full-day
-session over three venues (the benchmark's ``heavy_day``) memory grows by
-13-18 MB per run (bimodal in the seed) and under Python 3.11 a run takes
-1.4 s. The simulator's own time per background order, outside the book, is
-7.9 µs traced on ``heavy_day`` and 11.1 µs on ``pov_seed_sweep``, with the
-flow drawn inside ``advance`` rather than in a per-tick helper (2-core Xeon,
-``perfbench`` reference seconds, one traced pair).
+and the venue's ``_LiveSet`` then drops a background order's ledger and
+slot, so the simulator never probes a book for departures. The live sets
+hold ids only: ``order_sides`` reads each resting order's side off its book
+when asked, and nothing in a session asks. A dispatched order keeps its
+ledger until its owner releases it, as the algorithm runner does once a
+child is done. ``advance`` keeps the clock, the fundamental and the
+background count in locals and writes them back once per call. A scenario
+run hands ``MarketSim`` file-backed logs, so the log lines stream to disk as
+the session runs. On one full-day session over three venues (the benchmark's
+``heavy_day``) memory grows by 13-18 MB per run (bimodal in the seed) and
+under Python 3.11 a run takes 1.4 s. The simulator's own time per background
+order, outside the book, is 7.0 µs traced on ``heavy_day`` and 9.5-10.1 µs
+on ``pov_seed_sweep`` (2-core Xeon, ``perfbench`` reference seconds, the
+traced pairs of ``BENCH_25.json``).
 """
 
 from __future__ import annotations
@@ -225,10 +228,7 @@ class MarketSim:
         self.rng = np.random.default_rng(params.seed)
         self.clock = 0
         self.fundamental = float(params.initial_price_ticks)
-        # order id -> side of every resting background order; each venue's
-        # _LiveSet keeps it
-        self.order_sides: dict[str, Side] = {}
-        self._live = {vid: _LiveSet(self.order_sides) for vid in self.venues}
+        self._live = {vid: _LiveSet() for vid in self.venues}
         self.books: dict[str, OrderBook] = {
             vid: OrderBook(venue_id=vid, session_close=params.session_ticks,
                            log=EventLog() if logs is None else logs[vid],
@@ -267,6 +267,13 @@ class MarketSim:
     def mid(self, venue_id: Optional[str] = None) -> Optional[float]:
         return self.book(venue_id).mid()
 
+    @property
+    def order_sides(self) -> dict[str, Side]:
+        """Order id -> side of every resting background order, read off each
+        venue's live set and book; nothing in the session reads it."""
+        return {oid: self.books[vid]._index[oid].side
+                for vid, live in self._live.items() for oid in live.ids}
+
     def dispatch(self, venue_id: str, order: Order) -> int:
         """Queue an order for arrival at clock + venue latency; returns arrival tick.
 
@@ -287,7 +294,12 @@ class MarketSim:
     # -- main loop --------------------------------------------------------------
 
     def advance(self, dt: int) -> None:
-        """Advance the clock dt ticks; fills and order events land in each book."""
+        """Advance the clock dt ticks; fills and order events land in each book.
+
+        The clock, the fundamental and the background count live in locals
+        for the call and are written back once, also when a book raises: the
+        sim then stands at the tick it stopped on.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
         limit_ttl = self.params.limit_ttl
@@ -295,56 +307,60 @@ class MarketSim:
         venues = [(f"bg-{vid}-", book, self._live[vid]) for vid, book in self.books.items()]
         inflight = self._inflight
         steps, counts, picks, orders = self._block
-        clock, bg = self.clock, self._bg_count
-        for _ in range(dt):
-            self.clock = clock = clock + 1
-            row = (clock - 1) % BLOCK_TICKS
-            if row == 0:
-                self._draw_block()
-                steps, counts, picks, orders = self._block
-            self.fundamental = fundamental = self.fundamental + steps[row]
-            while inflight and inflight[0][0] <= clock:
-                _, _, vid, order = heapq.heappop(inflight)
-                self.books[vid].submit(order, clock=clock)
-            for book in books:
-                book.expire(clock)
-            if counts is None:
-                continue
-            anchor = round(fundamental)
-            expiry = clock + limit_ttl
-            for (prefix, book, live), n in zip(venues, counts[row]):
-                for buy, market, qty, offset in islice(orders, n):
-                    bg += 1
-                    oid = f"{prefix}{bg}"
-                    side = _BUY if buy else _SELL
-                    if market:
-                        if (book.best_ask() if buy else book.best_bid()) is None:
-                            continue
-                        order = _new(Order, (oid, side, _MARKET, qty, None, None, None,
-                                             _MARKET, None, 0, _GTC, None))
-                    else:
-                        order = _new(Order, (oid, side, _LIMIT, qty, max(1, anchor + offset),
-                                             None, None, _MARKET, None, 0, _GTD, expiry))
-                    book.submit(order, clock)
-                    # keep state for a background order only while it rests; the
-                    # disposition is no test, as a settle pass may already have taken
-                    # a RESTING order out of the book
-                    if not book.release(oid):
-                        live.add(oid, side)
-            self._bg_count = bg
-            # a cancel touches only its venue's book, so it may follow every venue's orders
-            for v, u in picks.get(row, ()):
-                _, book, live = venues[v]
-                if live:
-                    book.cancel(live.pick(u))
+        clock, fundamental, bg = self.clock, self.fundamental, self._bg_count
+        try:
+            for _ in range(dt):
+                clock += 1
+                row = (clock - 1) % BLOCK_TICKS
+                if row == 0:
+                    self._block = self._draw_block(clock - 1)
+                    steps, counts, picks, orders = self._block
+                fundamental += steps[row]
+                while inflight and inflight[0][0] <= clock:
+                    _, _, vid, order = heapq.heappop(inflight)
+                    self.books[vid].submit(order, clock=clock)
+                for book in books:
+                    book.expire(clock)
+                if counts is None:
+                    continue
+                anchor = round(fundamental)
+                expiry = clock + limit_ttl
+                for (prefix, book, live), n in zip(venues, counts[row]):
+                    for buy, market, qty, offset in islice(orders, n):
+                        bg += 1
+                        oid = f"{prefix}{bg}"
+                        side = _BUY if buy else _SELL
+                        if market:
+                            if (book.best_ask() if buy else book.best_bid()) is None:
+                                continue
+                            order = _new(Order, (oid, side, _MARKET, qty, None, None, None,
+                                                 _MARKET, None, 0, _GTC, None))
+                        else:
+                            order = _new(Order, (oid, side, _LIMIT, qty, max(1, anchor + offset),
+                                                 None, None, _MARKET, None, 0, _GTD, expiry))
+                        book.submit(order, clock)
+                        # keep state for a background order only while it rests; the
+                        # disposition is no test, as a settle pass may already have
+                        # taken a RESTING order out of the book
+                        if not book.release(oid):
+                            live.add(oid)
+                # a cancel touches only its venue's book, so it may follow every venue's orders
+                for v, u in picks.get(row, ()):
+                    _, book, live = venues[v]
+                    if live:
+                        book.cancel(live.pick(u))
+        finally:
+            self.clock, self.fundamental, self._bg_count = clock, fundamental, bg
 
     def run_session(self) -> None:
         """Advance to the session close; a no-op once the clock is there."""
         if self.clock < self.params.session_ticks:
             self.advance(self.params.session_ticks - self.clock)
 
-    def _draw_block(self) -> None:
-        """Draw the flow of the next ``BLOCK_TICKS`` ticks, from the current one on.
+    def _draw_block(self, first_tick: int) -> tuple:
+        """The flow of the next ``BLOCK_TICKS`` ticks: steps, counts, cancel
+        picks and orders. ``first_tick`` is the tick ``bucket_of`` reads for
+        the block's first clock value, one below it.
 
         In a fixed order: the fundamental's steps; each venue's Poisson
         order count and cancel uniforms (hit, pick) per tick; then per order
@@ -360,8 +376,7 @@ class MarketSim:
                  else np.zeros(BLOCK_TICKS)).tolist()
         picks: dict[int, list[tuple[int, float]]] = {}   # row -> [(venue, pick)]
         if p.intensity <= 0:
-            self._block = (steps, None, picks, iter(()))
-            return
+            return steps, None, picks, iter(())
         counts = rng.poisson(p.intensity, (BLOCK_TICKS, venues))
         if p.cancel_prob > 0:
             cancels = rng.random((BLOCK_TICKS, venues, 2))
@@ -373,7 +388,6 @@ class MarketSim:
         market = rng.random(n) < p.market_order_fraction
         size_u = rng.random(n)
         offsets = rng.integers(1, p.max_quote_offset + 1, n)
-        first_tick = self.clock - 1   # the tick bucket_of reads for this clock
         ticks = np.repeat(np.arange(first_tick, first_tick + BLOCK_TICKS), counts.sum(axis=1))
         edges = _bucket_edges(len(self.profile), p.session_ticks)
         buckets = np.clip(np.searchsorted(edges, ticks, side="right") - 1,
@@ -381,9 +395,9 @@ class MarketSim:
         log_q = self._log_q[market.astype(int), buckets]
         sizes = np.maximum(1, np.ceil(np.log1p(-size_u) / log_q)).astype(np.int64)
         # signed offsets: a buy quotes below the fundamental, a sell above
-        self._block = (steps, counts.tolist(), picks,
-                       zip(buy.tolist(), market.tolist(), sizes.tolist(),
-                           np.where(buy, -offsets, offsets).tolist()))
+        return (steps, counts.tolist(), picks,
+                zip(buy.tolist(), market.tolist(), sizes.tolist(),
+                    np.where(buy, -offsets, offsets).tolist()))
 
     def _seed_depth(self) -> None:
         """Initial two-sided resting depth so early market orders have a book."""
@@ -400,30 +414,27 @@ class MarketSim:
                                   limit_price=max(1, price))
                     book.submit(order, clock=self.clock)
                     if not book.release(order.order_id):
-                        self._live[vid].add(order.order_id, side)
+                        self._live[vid].add(order.order_id)
 
 
 class _LiveSet:
     """One venue's resting background ids: O(1) add, remove and uniform pick.
 
-    A swap-remove list of the ids plus each id's position in it. ``sides`` is
-    the sim's ``order_sides``, which every venue's set shares.
+    A swap-remove list of the ids plus each id's position in it.
     """
 
-    __slots__ = ("ids", "pos", "sides")
+    __slots__ = ("ids", "pos")
 
-    def __init__(self, sides: dict[str, Side]) -> None:
+    def __init__(self) -> None:
         self.ids: list[str] = []
         self.pos: dict[str, int] = {}
-        self.sides = sides
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def add(self, order_id: str, side: Side) -> None:
+    def add(self, order_id: str) -> None:
         self.pos[order_id] = len(self.ids)
         self.ids.append(order_id)
-        self.sides[order_id] = side
 
     def leave(self, book: OrderBook, order_id: str) -> None:
         """``on_leave``: drop a departed background order; owners release the rest."""
@@ -434,7 +445,6 @@ class _LiveSet:
         if last != order_id:
             self.ids[i] = last
             self.pos[last] = i
-        del self.sides[order_id]
         book.release(order_id)
 
     def pick(self, u: float) -> str:

@@ -19,7 +19,7 @@ holds (the same order or a new one), asserting after every operation:
   * FOK and AON feasibility against an oracle that sums the omniscient
     entries the order could cross: an FOK is cancelled exactly when they fall
     short of its size, and no pending AON could fill
-  * iceberg refills losing time priority
+  * iceberg refills losing time priority, and every other slice keeping it
   * departures: the ids the book's ``on_leave`` hook reports during an
     operation are exactly the orders it held, before or during it, that it
     no longer holds (filled out, cancelled, expired, or a pending order that
@@ -101,18 +101,18 @@ def _random_order(rng: random.Random, i: int, book: OrderBook) -> Order:
                  tif=Tif.GAT, tif_time=rng.randint(1, 40))
 
 
-def _priority_map(book: OrderBook):
-    """(side, price) -> ([visible ids in priority order], [hidden ids], all keys)."""
-    snap = book.snapshot(visibility="omniscient")
+def _priority_map(omni):
+    """(side, price) -> ([visible ids in priority order], [hidden ids],
+    {visible id: (priority, shares)}), read off the omniscient snapshot ``omni``."""
     out = {}
-    for side, levels in ((Side.BUY, snap.bids), (Side.SELL, snap.asks)):
+    for side, levels in ((Side.BUY, omni.bids), (Side.SELL, omni.asks)):
         for lvl in levels:
             visible = [e for e in lvl.entries if not e.hidden]
             hidden = [e for e in lvl.entries if e.hidden]
             out[(side, lvl.price)] = (
                 [e.order_id for e in visible],
                 [e.order_id for e in hidden],
-                {e.order_id: e.priority for e in visible},
+                {e.order_id: (e.priority, e.quantity) for e in visible},
             )
     return out
 
@@ -212,8 +212,7 @@ def _crossable_shares(taker: Order, omni, orders) -> int:
                if sign * (lvl.price - limit) <= orders[e.order_id].discretion_offset)
 
 
-def _check_pending_aons(book: OrderBook, orders) -> None:
-    omni = book.snapshot(visibility="omniscient")
+def _check_pending_aons(omni, orders) -> None:
     for oid in omni.pending_aons:
         order = orders[oid]
         could = _crossable_shares(order, omni, orders)
@@ -221,9 +220,10 @@ def _check_pending_aons(book: OrderBook, orders) -> None:
             raise PropertyViolation(f"pending AON {oid} could fill: {could} >= {order.quantity}")
 
 
-def _check_views(book: OrderBook) -> None:
+def _check_views(book: OrderBook, omni) -> None:
+    """The public snapshot and ``remaining`` against ``omni``, the book's
+    omniscient snapshot."""
     public = book.snapshot()
-    omni = book.snapshot(visibility="omniscient")
     held = defaultdict(int)
     for pub_levels, omni_levels in ((public.bids, omni.bids), (public.asks, omni.asks)):
         for lvl in omni_levels:
@@ -243,21 +243,26 @@ def _check_views(book: OrderBook) -> None:
             raise PropertyViolation(f"remaining({oid}) is not the sum of its entries")
 
 
-def _check_refill_priority(book: OrderBook, pre_map) -> None:
-    post = _priority_map(book)
-    for key, (pre_visible, _, pre_keys) in pre_map.items():
+def _check_refill_priority(pre_map, post, fills) -> None:
+    """A visible slice that ``fills`` took whole and that still shows is a
+    refill, which ranks behind every slice its level held before the op; any
+    other slice keeps its priority."""
+    taken = defaultdict(int)
+    for f in fills:
+        if not f.maker_was_hidden:
+            taken[f.maker_order_id] += f.quantity
+    for key, (_, _, pre_slices) in pre_map.items():
         after = post.get(key)
-        if after is None:
+        if after is None or not pre_slices:
             continue
-        _, _, post_keys = after
-        if not pre_keys:
-            continue
-        pre_max = max(pre_keys.values())
-        for oid, priority in post_keys.items():
-            old = pre_keys.get(oid)
-            if old is not None and priority > old and priority <= pre_max:
+        pre_max = max(priority for priority, _ in pre_slices.values())
+        for oid, (priority, _) in after[2].items():
+            old = pre_slices.get(oid)
+            if old is not None and (priority <= pre_max if taken[oid] >= old[1]
+                                    else priority != old[0]):
                 raise PropertyViolation(
-                    f"refilled slice {oid} did not lose time priority at {key}")
+                    f"slice {oid} at {key}: priority {old[0]} -> {priority} after "
+                    f"{taken[oid]} of its {old[1]} shares filled")
 
 
 def _check_departures(book: OrderBook, op: tuple, result, held: set, left: list) -> None:
@@ -302,6 +307,9 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
     orders: dict[str, Order] = {}   # each id's latest submission
     submitted_by_id: dict[str, int] = defaultdict(int)
     clock = 0
+    # One omniscient snapshot after each op serves every check of it and the
+    # next op's pre-op state: nothing between two ops changes the book.
+    omni = book.snapshot(visibility="omniscient")
     for step in range(n_ops):
         clock += rng.randint(0, 3)
         ops.append(_next_op(rng, step, clock, book, orders))
@@ -311,44 +319,45 @@ def run_sequence(seed: int, n_ops: int = 12) -> tuple[list, list]:
             submitted_by_id[order.order_id] += order.quantity
         held = book.order_ids()
         left.clear()
-        result = _apply(book, ops[-1], orders)
+        result, omni = _apply(book, ops[-1], orders, omni)
         _check_departures(book, ops[-1], result, held, left)
         book.check_invariants()
-        _check_views(book)
+        _check_views(book, omni)
         _check_conservation(book, submitted_by_id)
-        _check_pending_aons(book, orders)
+        _check_pending_aons(omni, orders)
     return ops, book.fills_since(0)
 
 
-def _apply(book: OrderBook, op: tuple, orders):
-    """Apply one op with its per-op checks; returns a submit's result, else None."""
-    if op[0] == "submit":
-        _, order, clock = op
-        pre_map = _priority_map(book)
-        pre_snap = (book.snapshot(visibility="omniscient")
-                    if order.tif is Tif.FOK else None)
-        mark = book.fill_count()
-        result = book.submit(order, clock=clock)
-        # the result's fills lead the book's record of the submit (stops and
-        # AONs it set off come after); an AON's result keeps only its own fills
-        if order.tif is not Tif.AON and \
-                book.fills_since(mark)[:len(result.fills)] != list(result.fills):
-            raise PropertyViolation(f"{order.order_id}: result fills differ from the book's")
-        _check_fill_sequence(order, result.fills, pre_map, orders)
-        _check_refill_priority(book, pre_map)
-        if order.tif is Tif.FOK and result.disposition is not Disposition.REJECTED:
-            cancelled = result.disposition is Disposition.CANCELLED
-            could = _crossable_shares(order, pre_snap, orders)
-            if cancelled != (could < order.quantity):
-                raise PropertyViolation(f"FOK {order.order_id} for {order.quantity} was "
-                                        f"{result.disposition.value} with {could} crossable")
-            if cancelled and result.fills:
-                raise PropertyViolation("cancelled FOK produced fills")
-            if cancelled and replace(book.snapshot(visibility="omniscient"), clock=0) \
-                    != replace(pre_snap, clock=0):
-                raise PropertyViolation("failed FOK mutated the book")
-        return result
-    _step(book, op)
+def _apply(book: OrderBook, op: tuple, orders, pre):
+    """Apply one op with its per-op checks, given ``pre``, the book's omniscient
+    snapshot before it; returns (a submit's result or None, the omniscient
+    snapshot after it)."""
+    if op[0] != "submit":
+        _step(book, op)
+        return None, book.snapshot(visibility="omniscient")
+    _, order, clock = op
+    pre_map = _priority_map(pre)
+    mark = book.fill_count()
+    result = book.submit(order, clock=clock)
+    post = book.snapshot(visibility="omniscient")
+    # the result's fills lead the book's record of the submit (stops and
+    # AONs it set off come after); an AON's result keeps only its own fills
+    if order.tif is not Tif.AON and \
+            book.fills_since(mark)[:len(result.fills)] != list(result.fills):
+        raise PropertyViolation(f"{order.order_id}: result fills differ from the book's")
+    _check_fill_sequence(order, result.fills, pre_map, orders)
+    _check_refill_priority(pre_map, _priority_map(post), book.fills_since(mark))
+    if order.tif is Tif.FOK and result.disposition is not Disposition.REJECTED:
+        cancelled = result.disposition is Disposition.CANCELLED
+        could = _crossable_shares(order, pre, orders)
+        if cancelled != (could < order.quantity):
+            raise PropertyViolation(f"FOK {order.order_id} for {order.quantity} was "
+                                    f"{result.disposition.value} with {could} crossable")
+        if cancelled and result.fills:
+            raise PropertyViolation("cancelled FOK produced fills")
+        if cancelled and replace(post, clock=0) != replace(pre, clock=0):
+            raise PropertyViolation("failed FOK mutated the book")
+    return result, post
 
 
 def _step(book: OrderBook, op: tuple):

@@ -230,6 +230,20 @@ class TestRunAlgorithm:
         assert a.fills == b.fills
         assert a.realized == b.realized
 
+    @pytest.mark.parametrize("spec", [
+        AlgoSpec(type="twap", bucket_ticks=450,
+                 slice_policy=SlicePolicy(display=400, jitter=0.3, seed=2)),
+        AlgoSpec(type="vwap"),
+        AlgoSpec(type="pov", pr=0.1),
+        AlgoSpec(type="pov-adaptive", pr=0.1, sensitivity=5.0),
+    ], ids=["twap-sliced", "vwap", "pov", "pov-adaptive"])
+    def test_filled_is_the_sum_of_the_fills(self, spec):
+        # the runner adds each own fill to ``filled`` as it appends it
+        p = parent(qty=13_000, start=0, end=5_850)
+        trace = run_algorithm(spec, p, quarter_day_sim(seed=7))
+        assert trace.filled == sum(f.quantity for f in trace.fills) > 0
+        assert trace.residual == p.quantity - trace.filled
+
     def test_pov_participation_single_seed(self):
         sim = quarter_day_sim(seed=11)
         p = parent(qty=1_000_000, start=0, end=5_850)
@@ -399,6 +413,12 @@ class TestWorkingChildren:
         assert trace.children
         for vid, book in sim.books.items():
             assert not [oid for oid in book._ledger if oid.startswith("child-")], vid
+
+    def test_routed_filled_is_the_sum_of_the_fills(self):
+        # routed_day's TWAP is sliced and routed over three venues
+        _, trace = self.run(self.RUNS["routed_day"])
+        assert len({f.venue_id for f in trace.fills}) > 1
+        assert trace.filled == sum(f.quantity for f in trace.fills) > 0
 
     def test_runner_probes_each_child_a_few_times(self, monkeypatch):
         calls = {"ledger": 0, "remaining": 0}

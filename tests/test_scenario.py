@@ -65,6 +65,12 @@ class TestLoad:
         assert "benchmark = both" in echo
         assert s.cost.temp_fraction == 0.8
 
+    def test_arrival_only_echo_leaves_drift_out(self, tmp_path):
+        arrival = load_scenario(write(tmp_path, MINIMAL + "benchmark = arrival\n"))
+        assert "benchmark = arrival" in arrival.echo()
+        assert "drift" not in arrival.echo()
+        assert "drift = 0.0" in load_scenario(write(tmp_path, MINIMAL, "both.ini")).echo()
+
     def test_echo_reload_is_stable(self, tmp_path):
         s = load_scenario(write(tmp_path, FULL))
         echoed = write(tmp_path, s.echo(), name="echo.ini")
@@ -294,6 +300,16 @@ class TestRejectedThroughCli:
         assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
         assert f"[{section}].{key}" in capsys.readouterr().err
 
+    def test_drift_with_arrival_benchmark_named(self, tmp_path, capsys):
+        # only the previous-close frontier adds drift: with benchmark = arrival
+        # the key moved the hash and changed no output
+        text = EVERY.replace("[optimizer]\n", "[optimizer]\nbenchmark = arrival\n")
+        path = with_field(tmp_path, "optimizer", "drift", "0.05", text=text)
+        assert cli_run(path, tmp_path) == cli.EXIT_VALIDATION
+        assert ("inert field [optimizer].drift: benchmark = arrival never reads it"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_tactics_without_algo_named(self, tmp_path, capsys):
         # the one [tactics] rule that no single-field edit of EVERY reaches
         text = EVERY.split("[algo]")[0] + "[tactics]" + EVERY.split("[tactics]")[1]
@@ -464,6 +480,8 @@ def assert_every_field_round_trips(tmp_path, base):
             if f.key == "type":   # keys the new type never reads would be inert
                 for key in set(cfg["algo"]) - {g.key for g in ALGO[value]}:
                     cfg.remove_option("algo", key)
+            if f.key == "benchmark" and value == "arrival":   # so would drift
+                cfg.remove_option("optimizer", "drift")
             with open(tmp_path / "case.ini", "w") as fh:
                 cfg.write(fh)
             changed = load_scenario(tmp_path / "case.ini")

@@ -232,27 +232,60 @@ class TestChunking:
     """The stream is a function of the seed and the clock alone: how the
     caller chops the session into ``advance`` calls must not matter."""
 
+    CHECKPOINT = 1_234   # mid-block: every chopping stops here once
+
     def run_in_steps(self, step):
+        """The run's logs and fills, and the sim's state at CHECKPOINT and at
+        the close: clock, fundamental, background count and resting sides."""
         sim = MarketSim(params(seed=11, session_ticks=2_500, cancel_prob=0.05),
                         venues=THREE_VENUES)
         for vid in sim.venues:   # one dispatched order per venue, landing after its latency
             sim.dispatch(vid, Order(f"c-{vid}", Side.BUY, OrderKind.MARKET, 300))
-        if step is None:
-            sim.run_session()
-        while sim.clock < sim.params.session_ticks:
-            sim.advance(min(step, sim.params.session_ticks - sim.clock))
+        states = []
+        for end in (self.CHECKPOINT, sim.params.session_ticks):
+            if step is None and end == self.CHECKPOINT:
+                sim.advance(end)
+            elif step is None:
+                sim.run_session()
+            while sim.clock < end:
+                sim.advance(min(step, end - sim.clock))
+            states.append((sim.clock, sim.fundamental, sim._bg_count, sim.order_sides))
         return ({vid: book.log.lines for vid, book in sim.books.items()},
-                all_fills(sim), sim.fundamental)
+                all_fills(sim), states)
 
     # a step of BLOCK_TICKS - 1, BLOCK_TICKS or BLOCK_TICKS + 1 starts or ends
     # calls on block edges, where advance draws the next block mid-call
     @pytest.mark.parametrize("step", [1, 7, BLOCK_TICKS - 1, BLOCK_TICKS, BLOCK_TICKS + 1])
     def test_advance_steps_give_the_session_stream(self, step):
-        logs, fills, fundamental = self.run_in_steps(step)
-        logs_s, fills_s, fundamental_s = self.run_in_steps(None)
-        assert fundamental == fundamental_s
+        logs, fills, states = self.run_in_steps(step)
+        logs_s, fills_s, states_s = self.run_in_steps(None)
+        assert [s[0] for s in states] == [self.CHECKPOINT, 2_500]
+        assert all(s[3] for s in states)   # some background orders rest
+        assert states == states_s
         assert fills == fills_s
         assert logs == logs_s
+
+    def test_a_raise_leaves_the_sim_at_its_tick(self, monkeypatch):
+        # advance keeps clock and fundamental in locals; a raise from a book
+        # mid-call must still leave them written back at the tick it failed on
+        sim, ref = (MarketSim(params(seed=3, session_ticks=3_000), venues=THREE_VENUES)
+                    for _ in range(2))
+        book = sim.books["B"]
+        submit, failed = book.submit, []
+
+        def failing(order, clock=None):
+            if clock >= 1_500:
+                failed.append(clock)
+                raise RuntimeError("venue down")
+            return submit(order, clock)
+
+        monkeypatch.setattr(book, "submit", failing)
+        with pytest.raises(RuntimeError, match="venue down"):
+            sim.advance(2_000)
+        ref.advance(failed[0])
+        assert 1_500 <= failed[0] < 2_000
+        assert (sim.clock, sim.fundamental) == (ref.clock, ref.fundamental)
+        assert sim.clock == failed[0]
 
 
 class TestPerOrderState:
