@@ -45,10 +45,11 @@ visible entry. Every other order, and every re-entry (a triggered stop, a
 started GAT order), goes through ``_enter`` and ``_rest``. The widest
 discretion each side has rested is a high-water mark, never lowered: once a
 side has rested a discretionary order, every plain order against it takes
-the matching pass. On the benchmark's ``heavy_day`` 44 % of submits take
-it, and the book spends 13.0 µs per submit under Python 3.11, event-log
-lines included, against 15.0 µs when every order went through ``_enter``
-(one traced pair).
+the matching pass. Admission is one chain of rules in ``submit``'s frame,
+over the fields it has already unpacked: the first rule an order breaks
+names the reason, and the time-in-force rules run only for GTD, GAT and day
+orders. Each order's ledger is a list, [submitted, filled, cancelled]. The
+timings behind this layout are in ``BENCH_26.json`` and ``CHANGES.md``.
 
 Owner hook: a book given ``on_leave`` calls ``on_leave(book, order_id)`` once
 for each order it held, resting or pending, that leaves it: its last share
@@ -268,17 +269,6 @@ class _Level:
         self.shown = 0
 
 
-class _Ledger:
-    """Per-order share accounting: submitted = filled + cancelled + resting."""
-
-    __slots__ = ("submitted", "filled", "cancelled")
-
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.filled = 0
-        self.cancelled = 0
-
-
 class OrderBook:
     """Continuous-trading book for one venue.
 
@@ -306,7 +296,8 @@ class OrderBook:
         # heap (start, seq, order); a cancelled GAT's entry stays until its start
         self._gats: list[tuple[int, int, Order]] = []
         self._expiries: list[tuple[int, str]] = []      # heap (expiry tick, order_id)
-        self._ledger: dict[str, _Ledger] = {}
+        # order id -> [submitted, filled, cancelled]; submitted = filled + cancelled + held
+        self._ledger: dict[str, list[int]] = {}
         # the widest discretion a side has rested: a high-water mark, never lowered
         self._max_discretion: dict[Side, int] = {_BUY: 0, _SELL: 0}
         self._seq = 0
@@ -340,9 +331,7 @@ class OrderBook:
     def ledger(self, order_id: str) -> tuple[int, int, int]:
         """(submitted, filled, cancelled) totals for an order id."""
         entry = self._ledger.get(order_id)
-        if entry is None:
-            return (0, 0, 0)
-        return (entry.submitted, entry.filled, entry.cancelled)
+        return (0, 0, 0) if entry is None else tuple(entry)
 
     def fill_count(self) -> int:
         """Fills of the session so far, dropped ones included."""
@@ -390,11 +379,61 @@ class OrderBook:
     def submit(self, order: Order, clock: Optional[int] = None) -> SubmitResult:
         if clock is not None and clock > self.clock:
             self.clock = clock
-        reason = self._validate(order)
         (oid, side, kind, quantity, limit_price, display_quantity, stop_price, stop_kind,
-         _, disc, tif, tif_time) = order
-        led = self._ledger.setdefault(oid, _Ledger())
-        led.submitted += quantity
+         protection_offset, disc, tif, tif_time) = order
+        # The admission rules; the first one an order breaks names the reason.
+        reason = None
+        if oid in self._index:
+            reason = "order id already held by the book"
+        elif quantity <= 0:
+            reason = "quantity must be positive"
+        elif display_quantity is not None and not 0 <= display_quantity <= quantity:
+            reason = "display_quantity outside [0, quantity]"
+        elif disc < 0:
+            reason = "discretion_offset must be >= 0"
+        elif kind is _LIMIT:
+            if limit_price is None:
+                reason = "limit order without limit_price"
+            elif limit_price < 1:
+                reason = "limit_price must be >= 1"
+        elif kind is _MARKET:
+            if limit_price is not None:
+                reason = "market order carries a limit_price"
+            elif tif is not _AON and not self._prices[_SELL if side is _BUY else _BUY]:
+                # AON market orders may wait for liquidity; immediate ones need a book to hit.
+                reason = "market order into empty opposite side"
+        elif kind is _PROTECTED:
+            if protection_offset is None:
+                reason = "market-with-protection without protection_offset"
+            elif self.last_trade_price is None:
+                reason = "market-with-protection without a reference trade price"
+        elif kind is _STOP:   # the rules of the kind it wraps come first
+            last = self.last_trade_price
+            if stop_kind is _LIMIT and limit_price is None:
+                reason = "limit order without limit_price"
+            elif stop_kind is _LIMIT and limit_price < 1:
+                reason = "limit_price must be >= 1"
+            elif stop_kind is _MARKET and limit_price is not None:
+                reason = "market order carries a limit_price"
+            elif stop_price is None:
+                reason = "stop order without stop_price"
+            elif stop_price < 1:
+                reason = "stop_price must be >= 1"
+            elif stop_kind is not _MARKET and stop_kind is not _LIMIT:
+                reason = "stop orders wrap market or limit only"
+            elif last is not None and side is _BUY and stop_price < last:
+                reason = "buy stop below last trade"
+            elif last is not None and side is _SELL and stop_price > last:
+                reason = "sell stop above last trade"
+        if reason is None and (tif is _GTD or tif is _GAT or tif is _DAY):
+            if tif is _GTD and tif_time is None:
+                reason = "gtd order without expiry"
+            elif tif is _GAT and tif_time is None:
+                reason = "gat order without start time"
+            elif tif is _DAY and self.session_close is None:
+                reason = "day order without a configured session close"
+        led = self._ledger.setdefault(oid, [0, 0, 0])
+        led[0] += quantity
         if self.log is not None:
             self.log.record(
                 f"submit|{self.clock}|{oid}|{side._value_}|"
@@ -405,7 +444,7 @@ class OrderBook:
                 f"{f',disc={disc}' if disc else ''}"
                 f"{'' if reason is None else ',rejected=' + reason.translate(_FLAG_SAFE)}\n")
         if reason is not None:
-            led.cancelled += quantity
+            led[2] += quantity
             return SubmitResult((), _REJECTED, reason)
 
         if tif is _GAT and tif_time is not None and tif_time > self.clock:
@@ -431,7 +470,7 @@ class OrderBook:
             if not leftover:
                 disp = _FILLED
             elif kind is _MARKET or tif is _IOC:
-                led.cancelled += leftover
+                led[2] += leftover
                 self._log("cancel", oid, side._value_, limit_price, leftover,
                           "why=market-exhausted" if kind is _MARKET else "why=ioc")
                 disp = _CANCELLED
@@ -489,7 +528,7 @@ class OrderBook:
         eff_limit = None if limit_price is None else limit_price + disc
 
         if tif is _FOK and self._crossable(side, qty, eff_limit) < qty:
-            self._ledger[oid].cancelled += qty
+            self._ledger[oid][2] += qty
             self._log("cancel", oid, side._value_, limit_price, qty, "why=fok-unfillable")
             return SubmitResult((), _CANCELLED)
 
@@ -497,7 +536,7 @@ class OrderBook:
 
         if leftover > 0:
             if kind is _MARKET or tif is _IOC or tif is _FOK:
-                self._ledger[oid].cancelled += leftover
+                self._ledger[oid][2] += leftover
                 if self.log is not None:
                     why = "market-exhausted" if kind is _MARKET else tif._value_
                     self._log("cancel", oid, side._value_, limit_price, leftover, f"why={why}")
@@ -508,50 +547,6 @@ class OrderBook:
         else:
             disp = _FILLED
         return _new(SubmitResult, (tuple(fills), disp, None))
-
-    def _validate(self, order: Order) -> Optional[str]:
-        (oid, side, kind, quantity, limit_price, display_quantity, stop_price, stop_kind,
-         protection_offset, discretion_offset, tif, tif_time) = order
-        if oid in self._index:
-            return "order id already held by the book"
-        if quantity <= 0:
-            return "quantity must be positive"
-        display = quantity if display_quantity is None else display_quantity
-        if display < 0 or display > quantity:
-            return "display_quantity outside [0, quantity]"
-        if discretion_offset < 0:
-            return "discretion_offset must be >= 0"
-        acts_as = kind if kind is not _STOP else stop_kind
-        if acts_as is _LIMIT and limit_price is None:
-            return "limit order without limit_price"
-        if acts_as is _MARKET and limit_price is not None:
-            return "market order carries a limit_price"
-        if kind is _PROTECTED:
-            if protection_offset is None:
-                return "market-with-protection without protection_offset"
-            if self.last_trade_price is None:
-                return "market-with-protection without a reference trade price"
-        if kind is _STOP:
-            if stop_price is None:
-                return "stop order without stop_price"
-            if stop_kind not in (_MARKET, _LIMIT):
-                return "stop orders wrap market or limit only"
-            if self.last_trade_price is not None:
-                if side is _BUY and stop_price < self.last_trade_price:
-                    return "buy stop below last trade"
-                if side is _SELL and stop_price > self.last_trade_price:
-                    return "sell stop above last trade"
-        elif kind is _MARKET and tif is not _AON:
-            # AON market orders may wait for liquidity; immediate ones need a book to hit.
-            if not self._prices[side.opposite]:
-                return "market order into empty opposite side"
-        if tif is _GTD and tif_time is None:
-            return "gtd order without expiry"
-        if tif is _GAT and tif_time is None:
-            return "gat order without start time"
-        if tif is _DAY and self.session_close is None:
-            return "day order without a configured session close"
-        return None
 
     def _convert_protection(self, order: Order) -> Order:
         offset = order.protection_offset or 0
@@ -653,8 +648,8 @@ class OrderBook:
         fills.append(fill)
         self._fills.append(fill)
         ledger = self._ledger
-        ledger[taker_id].filled += take
-        ledger[maker_id].filled += take   # a resting order's ledger lives while it rests
+        ledger[taker_id][1] += take
+        ledger[maker_id][1] += take   # a resting order's ledger lives while it rests
         self.last_trade_price = price
         if self.log is not None:
             self.log.record(f"fill|{self.clock}|{taker_id}|{taker_side._value_}|{price}|{take}|"
@@ -773,7 +768,7 @@ class OrderBook:
             # A GAT order is in neither dict: expire skips its heap entry.
             if self._stops.pop(order_id, None) is None:
                 self._aons.pop(order_id, None)
-        self._ledger[order_id].cancelled += removed
+        self._ledger[order_id][2] += removed
         if self.on_leave is not None:
             self.on_leave(self, order_id)
         return order, removed
@@ -846,7 +841,7 @@ class OrderBook:
                       order.quantity, f"kind=stop,as={converted.kind._value_}")
         if converted.kind is _MARKET and not self._prices[converted.side.opposite]:
             # nothing to hit: the stop dies rather than resting as a market order
-            self._ledger[order.order_id].cancelled += order.quantity
+            self._ledger[order.order_id][2] += order.quantity
             self._log("cancel", order.order_id, order.side._value_, None,
                       order.quantity, "why=stop-into-empty-book")
         else:

@@ -3,9 +3,11 @@
 One simulation owns a set of venues (each a latency/fee wrapper around an
 order book) and drives seeded background order flow against them tick by
 tick: Poisson arrivals, geometric sizes, limit prices a few ticks around a
-common fundamental price that follows an arithmetic random walk. Per-bucket
-expected taker volume tracks the volume profile (z_j * ADV), so a full
-session realizes roughly the average daily volume.
+common fundamental price that follows an arithmetic random walk. Market
+orders take the volume profile's share of the day (z_j * ADV per bucket),
+but background limit orders that cross a stale quote trade too, so a
+session trades 2.5-2.9 times ``adv`` on every packaged market (ROADMAP
+Baseline; item 17 is the fix).
 
 All randomness flows from one ``numpy`` generator constructed from the seed;
 identical (params, seed) reproduce identical event streams, fills and books.
@@ -32,12 +34,7 @@ ledger until its owner releases it, as the algorithm runner does once a
 child is done. ``advance`` keeps the clock, the fundamental and the
 background count in locals and writes them back once per call. A scenario
 run hands ``MarketSim`` file-backed logs, so the log lines stream to disk as
-the session runs. On one full-day session over three venues (the benchmark's
-``heavy_day``) memory grows by 13-18 MB per run (bimodal in the seed) and
-under Python 3.11 a run takes 1.4 s. The simulator's own time per background
-order, outside the book, is 7.0 µs traced on ``heavy_day`` and 9.5-10.1 µs
-on ``pov_seed_sweep`` (2-core Xeon, ``perfbench`` reference seconds, the
-traced pairs of ``BENCH_25.json``).
+the session runs. Timings are in ``BENCH_26.json`` and ``CHANGES.md``.
 """
 
 from __future__ import annotations

@@ -593,6 +593,115 @@ class TestFillRecord:
             fill.quantity = 5
 
 
+def admission_book(trade=True, asks=True, session_close=1_000):
+    """B1 bids 49 and S1 offers 51; by default a 10-share buy has traded at 51."""
+    book = OrderBook(log=EventLog(), session_close=session_close)
+    book.submit(limit("B1", Side.BUY, 49, 100), clock=1)
+    if asks:
+        book.submit(limit("S1", Side.SELL, 51, 100), clock=1)
+    if trade:
+        book.submit(market("M1", Side.BUY, 10), clock=2)
+    return book
+
+
+def stop(oid, side, qty, stop_price, as_kind=OrderKind.MARKET, **kw):
+    return Order(order_id=oid, side=side, kind=OrderKind.STOP, quantity=qty,
+                 stop_price=stop_price, stop_kind=as_kind, **kw)
+
+
+def protected(oid, side, qty, offset, **kw):
+    return Order(order_id=oid, side=side, kind=OrderKind.MARKET_WITH_PROTECTION,
+                 quantity=qty, protection_offset=offset, **kw)
+
+
+# (id, book, order, reason): each order breaks exactly one rule, in the book's rule order.
+# The limit at 0 or -5 and the stops at -3 or with a limit at 0 rested before the book
+# checked that a price is at least one tick.
+REJECTIONS = [
+    ("held-id", {}, limit("B1", Side.BUY, 48, 5), "order id already held by the book"),
+    ("zero-quantity", {}, limit("Q", Side.BUY, 48, 0), "quantity must be positive"),
+    ("display-above-quantity", {}, limit("D", Side.BUY, 48, 10, display=11),
+     "display_quantity outside [0, quantity]"),
+    ("negative-discretion", {}, limit("X", Side.BUY, 48, 10, disc=-1),
+     "discretion_offset must be >= 0"),
+    ("limit-without-price", {}, Order("L", Side.BUY, OrderKind.LIMIT, 10),
+     "limit order without limit_price"),
+    ("limit-at-minus-5", {}, limit("N", Side.BUY, -5, 10), "limit_price must be >= 1"),
+    ("limit-at-zero", {}, limit("N", Side.BUY, 0, 10), "limit_price must be >= 1"),
+    ("stop-limit-at-zero", {},
+     stop("T", Side.BUY, 10, 60, as_kind=OrderKind.LIMIT, limit_price=0),
+     "limit_price must be >= 1"),
+    ("market-with-limit-price", {}, market("M", Side.BUY, 10, limit_price=52),
+     "market order carries a limit_price"),
+    ("protected-without-offset", {}, protected("P", Side.BUY, 10, None),
+     "market-with-protection without protection_offset"),
+    ("protected-without-reference", {"trade": False}, protected("P", Side.BUY, 10, 2),
+     "market-with-protection without a reference trade price"),
+    ("stop-without-stop-price", {}, stop("T", Side.BUY, 10, None),
+     "stop order without stop_price"),
+    ("stop-at-minus-3", {}, stop("T", Side.SELL, 10, -3), "stop_price must be >= 1"),
+    ("stop-wrapping-protected", {},
+     stop("T", Side.BUY, 10, 55, as_kind=OrderKind.MARKET_WITH_PROTECTION),
+     "stop orders wrap market or limit only"),
+    ("buy-stop-below-last", {}, stop("T", Side.BUY, 10, 50), "buy stop below last trade"),
+    ("sell-stop-above-last", {}, stop("T", Side.SELL, 10, 52), "sell stop above last trade"),
+    ("market-into-empty-side", {"trade": False, "asks": False}, market("M", Side.BUY, 10),
+     "market order into empty opposite side"),
+    ("gtd-without-expiry", {}, limit("G", Side.BUY, 48, 10, tif=Tif.GTD),
+     "gtd order without expiry"),
+    ("gat-without-start", {}, limit("A", Side.BUY, 48, 10, tif=Tif.GAT),
+     "gat order without start time"),
+    ("day-without-close", {"session_close": None}, limit("Y", Side.BUY, 48, 10, tif=Tif.DAY),
+     "day order without a configured session close"),
+]
+
+# (id, book, order, reason): each order breaks two or more rules and gets the first one's reason.
+PRECEDENCE = [
+    ("held-id-with-zero-quantity", {}, limit("B1", Side.BUY, 48, 0),
+     "order id already held by the book"),
+    ("zero-quantity-and-display-above-it", {}, limit("Q", Side.BUY, 48, 0, display=5),
+     "quantity must be positive"),
+    ("display-above-quantity-and-negative-discretion", {},
+     limit("D", Side.BUY, 48, 10, display=11, disc=-1), "display_quantity outside [0, quantity]"),
+    ("negative-discretion-and-no-limit-price", {},
+     Order("X", Side.BUY, OrderKind.LIMIT, 10, discretion_offset=-1),
+     "discretion_offset must be >= 0"),
+    ("no-limit-price-and-gtd-without-expiry", {},
+     Order("L", Side.BUY, OrderKind.LIMIT, 10, tif=Tif.GTD), "limit order without limit_price"),
+    ("limit-price-zero-and-day-without-close", {"session_close": None},
+     limit("N", Side.BUY, 0, 10, tif=Tif.DAY), "limit_price must be >= 1"),
+    ("market-with-limit-price-into-empty-side", {"trade": False, "asks": False},
+     market("M", Side.BUY, 10, limit_price=52), "market order carries a limit_price"),
+    ("market-into-empty-side-and-day-without-close",
+     {"trade": False, "asks": False, "session_close": None},
+     market("M", Side.BUY, 10, tif=Tif.DAY), "market order into empty opposite side"),
+    ("protected-without-offset-or-reference", {"trade": False}, protected("P", Side.BUY, 10, None),
+     "market-with-protection without protection_offset"),
+    ("protected-without-reference-and-gat-without-start", {"trade": False},
+     protected("P", Side.BUY, 10, 2, tif=Tif.GAT),
+     "market-with-protection without a reference trade price"),
+    ("stop-limit-without-limit-or-stop-price", {},
+     stop("T", Side.BUY, 10, None, as_kind=OrderKind.LIMIT), "limit order without limit_price"),
+    ("stop-market-with-limit-price-and-no-stop-price", {},
+     stop("T", Side.BUY, 10, None, limit_price=52), "market order carries a limit_price"),
+    ("stop-limit-at-zero-without-stop-price", {},
+     stop("T", Side.BUY, 10, None, as_kind=OrderKind.LIMIT, limit_price=0),
+     "limit_price must be >= 1"),
+    ("stop-without-stop-price-wrapping-a-stop", {},
+     stop("T", Side.BUY, 10, None, as_kind=OrderKind.STOP), "stop order without stop_price"),
+    ("stop-price-below-one-wrapping-a-stop", {},
+     stop("T", Side.SELL, 10, -3, as_kind=OrderKind.STOP), "stop_price must be >= 1"),
+    ("buy-stop-price-below-one-and-below-last-trade", {}, stop("T", Side.BUY, 10, -3),
+     "stop_price must be >= 1"),
+    ("stop-wrapping-a-stop-below-last-trade", {},
+     stop("T", Side.BUY, 10, 50, as_kind=OrderKind.STOP), "stop orders wrap market or limit only"),
+    ("buy-stop-below-last-trade-and-gtd-without-expiry", {},
+     stop("T", Side.BUY, 10, 50, tif=Tif.GTD), "buy stop below last trade"),
+    ("gtd-without-expiry-and-a-held-id", {}, limit("B1", Side.BUY, 48, 10, tif=Tif.GTD),
+     "order id already held by the book"),
+]
+
+
 class TestRejections:
     def test_market_into_empty_book(self):
         book = OrderBook()
@@ -614,6 +723,33 @@ class TestRejections:
         book = OrderBook()
         assert book.submit(limit("D", Side.BUY, 50, 10, display=20), clock=1).disposition \
             is Disposition.REJECTED
+
+    @pytest.mark.parametrize("book_kw, order, reason", [
+        pytest.param(*case[1:], id=case[0]) for case in REJECTIONS])
+    def test_each_reason(self, book_kw, order, reason):
+        """Each admission rule alone: its reason, a zero-fill ledger, the log flag."""
+        self.check_rejected(admission_book(**book_kw), order, reason)
+
+    @pytest.mark.parametrize("book_kw, order, reason", [
+        pytest.param(*case[1:], id=case[0]) for case in PRECEDENCE])
+    def test_first_broken_rule_names_the_reason(self, book_kw, order, reason):
+        self.check_rejected(admission_book(**book_kw), order, reason)
+
+    @staticmethod
+    def check_rejected(book, order, reason):
+        held = book.order_ids()
+        before = book.ledger(order.order_id)
+        lines = len(book.log.lines)
+        result = book.submit(order, clock=5)
+        assert (result.disposition, result.reason, result.fills) == \
+            (Disposition.REJECTED, reason, ())
+        q = order.quantity
+        assert book.ledger(order.order_id) == (before[0] + q, before[1], before[2] + q)
+        assert book.order_ids() == held
+        new = book.log.lines[lines:]
+        flag = ",rejected=" + reason.replace(",", ";").replace("=", ":")
+        assert len(new) == 1 and new[0].startswith(f"submit|5|{order.order_id}|")
+        assert new[0].endswith(flag)
 
 
 @pytest.fixture(params=["memory", "file"])
