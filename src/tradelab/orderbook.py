@@ -19,37 +19,40 @@ Conventions:
     * All operations are sequential per book instance (single writer).
     * Order ids are unique among the orders a book holds.
 
-Layout and cost: an index maps each held order id to its order. A price
-level keeps its visible and hidden queues as insertion-ordered dicts from
-order id to the order's ``SnapshotEntry`` (a visible order's display slice, a
-hidden one's remainder) and a running count of its visible shares; one dict
-maps each resting order id to that same entry; one dict holds each iceberg's
-reserve; each side keeps its prices in one ascending list that matching reads
-in place. So ``cancel``, ``remaining`` and the best bid/ask are O(1) whatever
-the queue length; a market order or a passive limit costs the same at any
-book depth, plus one sorted-list insert or delete per price level it creates
-or empties. A public ``snapshot`` is a market-by-price view: each level's
-price and displayed count, with no per-order entry, so it costs O(depth)
-whatever the queue length and never shows which order an iceberg slice
-belongs to. The omniscient view copies each level's stored entries in C,
-builds the reserve entries and sums each level. A submit is one pass that
-records each fill where it takes it, into records built positionally (see
-``_new``), and formats each event-log line once, where it records the event.
+Layout and cost: an index maps each held order id to its order. A price level
+keeps its visible and hidden queues as insertion-ordered dicts from order id
+to the order's ``SnapshotEntry`` (a visible order's display slice, a hidden
+one's remainder) and a running count of its visible shares; one dict maps each
+resting order id to that same entry; one dict holds each iceberg's reserve;
+each side keeps its prices in one ascending list that matching reads in place.
+So ``cancel``, ``remaining`` and the best bid/ask are O(1) whatever the queue
+length; a market order or a passive limit does the same work at any book
+depth, plus one sorted-list insert or delete per price level it creates or
+empties, yet its measured time rises with depth (see ``tools/probes.py``). A
+public ``snapshot`` is a market-by-price view: each level's price and
+displayed count, with no per-order entry, so it costs O(depth) whatever the
+queue length and never shows which order an iceberg slice belongs to. The
+omniscient view copies each level's stored entries in C, builds the reserve
+entries and sums each level. A submit is one pass that records each fill where
+it takes it, into records built positionally (see ``_new``), and formats each
+event-log line once, where it records the event.
 
-A plain order -- a fully displayed, non-discretionary GTC, GTD or IOC limit
-or market order -- is placed in ``submit``'s own frame. That is every order
-the simulator's background flow and the algorithm runner send. It enters the
+A plain order -- a fully displayed, non-discretionary GTC, GTD or IOC limit or
+market order -- is placed in ``submit``'s own frame. That is every order the
+simulator's background flow and the algorithm runner send. It enters the
 matching pass (``_execute``) only when the opposite side has a price within
-its limit or has ever rested discretion, and its leftover rests as one
-visible entry. Every other order, and every re-entry (a triggered stop, a
-started GAT order), goes through ``_enter`` and ``_rest``. The widest
-discretion each side has rested is a high-water mark, never lowered: once a
-side has rested a discretionary order, every plain order against it takes
-the matching pass. Admission is one chain of rules in ``submit``'s frame,
-over the fields it has already unpacked: the first rule an order breaks
-names the reason, and the time-in-force rules run only for GTD, GAT and day
-orders. Each order's ledger is a list, [submitted, filled, cancelled]. The
-timings behind this layout are in ``BENCH_26.json`` and ``CHANGES.md``.
+its limit or has ever rested discretion, and its leftover rests as one visible
+entry. Every other order, and every re-entry (a triggered stop, a started GAT
+order), goes through ``_enter`` and ``_rest``. The widest discretion each side
+has rested is a high-water mark, never lowered: once a side has rested a
+discretionary order, every plain order against it takes the matching pass. One
+walk, ``_reaching``, finds the entries whose discretion reaches a taker's
+limit, for both the FOK/AON check and the matching pass. Admission is one
+chain of rules in ``submit``'s frame, over the fields it has already unpacked:
+the first rule an order breaks names the reason, and the time-in-force rules
+run only for GTD, GAT and day orders. Each order's ledger is a list,
+[submitted, filled, cancelled]. The timings behind this layout are in
+``BENCH_26.json`` and ``CHANGES.md``.
 
 Owner hook: a book given ``on_leave`` calls ``on_leave(book, order_id)`` once
 for each order it held, resting or pending, that leaves it: its last share
@@ -405,6 +408,8 @@ class OrderBook:
         elif kind is _PROTECTED:
             if protection_offset is None:
                 reason = "market-with-protection without protection_offset"
+            elif protection_offset < 0:
+                reason = "protection_offset must be >= 0"
             elif self.last_trade_price is None:
                 reason = "market-with-protection without a reference trade price"
         elif kind is _STOP:   # the rules of the kind it wraps come first
@@ -509,13 +514,12 @@ class OrderBook:
 
         if kind is _PROTECTED:
             order = self._convert_protection(order)
-        oid, side, kind, qty, limit_price, _, _, _, _, discretion, tif, _ = order
+        oid, side, kind, qty, limit_price, _, _, _, _, _, tif, _ = order
 
         if tif is _AON:
             self._next_seq()
             self._aons[oid] = order
             self._index[oid] = order
-            self._push_expiry(order)
             mark = len(self._fills)
             fired = self._try_fire_aons()
             if any(o.order_id == oid for o in fired):
@@ -524,9 +528,7 @@ class OrderBook:
                                     _FILLED)
             return SubmitResult((), _RESTING)
 
-        disc = discretion if side is _BUY else -discretion   # widens the limit
-        eff_limit = None if limit_price is None else limit_price + disc
-
+        eff_limit = self._effective_limit(order)
         if tif is _FOK and self._crossable(side, qty, eff_limit) < qty:
             self._ledger[oid][2] += qty
             self._log("cancel", oid, side._value_, limit_price, qty, "why=fok-unfillable")
@@ -534,39 +536,30 @@ class OrderBook:
 
         fills, leftover = self._execute(order, qty, eff_limit)
 
-        if leftover > 0:
-            if kind is _MARKET or tif is _IOC or tif is _FOK:
-                self._ledger[oid][2] += leftover
-                if self.log is not None:
-                    why = "market-exhausted" if kind is _MARKET else tif._value_
-                    self._log("cancel", oid, side._value_, limit_price, leftover, f"why={why}")
-                disp = _CANCELLED
-            else:
-                self._rest(order, leftover)
-                disp = _PARTIAL_RESTING if fills else _RESTING
-        else:
+        if not leftover:
             disp = _FILLED
+        elif kind is _MARKET or tif is _IOC or tif is _FOK:
+            self._ledger[oid][2] += leftover
+            self._log("cancel", oid, side._value_, limit_price, leftover,
+                      f"why={'market-exhausted' if kind is _MARKET else tif._value_}")
+            disp = _CANCELLED
+        else:
+            self._rest(order, leftover)
+            disp = _PARTIAL_RESTING if fills else _RESTING
         return _new(SubmitResult, (tuple(fills), disp, None))
 
     def _convert_protection(self, order: Order) -> Order:
-        offset = order.protection_offset or 0
-        limit = (self.last_trade_price + offset if order.side is _BUY
-                 else self.last_trade_price - offset)
+        last, offset = self.last_trade_price, order.protection_offset
+        limit = last + offset if order.side is _BUY else max(last - offset, 1)   # no limit below 1
         return order._replace(kind=_LIMIT, limit_price=limit)
 
     def _effective_limit(self, order: Order) -> Optional[int]:
         if order.limit_price is None:
             return None
-        if order.side is _BUY:
-            return order.limit_price + order.discretion_offset
-        return order.limit_price - order.discretion_offset
+        disc = order.discretion_offset   # widens the limit
+        return order.limit_price + (disc if order.side is _BUY else -disc)
 
     # -- matching -----------------------------------------------------------
-
-    def _acceptable(self, side: Side, price: int, eff_limit: Optional[int]) -> bool:
-        if eff_limit is None:
-            return True
-        return price <= eff_limit if side is _BUY else price >= eff_limit
 
     def _best_first(self, side: Side):
         """The side's prices, best first, read in place (no copy)."""
@@ -574,41 +567,47 @@ class OrderBook:
         return reversed(prices) if side is _BUY else iter(prices)
 
     def _crossable(self, side: Side, needed: int, eff_limit: Optional[int]) -> int:
-        """Total quantity a taker could cross right now, mirroring _execute.
-
-        Walks the opposite side best first: whole levels while the price is
-        acceptable, then the discretionary entries that reach the limit.
-        """
+        """Total quantity a taker could cross right now, mirroring _execute:
+        whole levels within the limit, then the entries ``_reaching`` it;
+        returns as soon as the total reaches ``needed``."""
         total = 0
         opp = side.opposite
         levels = self._levels[opp]
         reserve = self._reserve
-        max_disc = self._max_discretion[opp]
         for price in self._best_first(opp):
+            if eff_limit is not None and (price > eff_limit if side is _BUY
+                                          else price < eff_limit):
+                break
             level = levels[price]
-            if self._acceptable(side, price, eff_limit):
-                total += level.shown + sum(map(_quantity, level.hidden.values()))
-                total += sum(map(reserve.get, level.visible, repeat(0)))
+            total += level.shown + sum(map(_quantity, level.hidden.values()))
+            total += sum(map(reserve.get, level.visible, repeat(0)))
+            if total >= needed:
+                return total
+        if eff_limit is not None:
+            for _, (oid, shares, _, _) in self._reaching(side, eff_limit):
+                total += shares + reserve.get(oid, 0)
                 if total >= needed:
                     return total
-                continue
-            if abs(price - eff_limit) > max_disc:
-                break
-            for oid, shares, _, _ in chain(level.visible.values(), level.hidden.values()):
-                if self._reaches(oid, eff_limit):
-                    total += shares + reserve.get(oid, 0)
-                    if total >= needed:
-                        return total
         return total
 
-    def _reaches(self, order_id: str, eff_limit: int) -> bool:
-        order = self._index[order_id]
-        disc = order.discretion_offset
-        if disc <= 0 or order.limit_price is None:
-            return False
-        if order.side is _SELL:
-            return order.limit_price - disc <= eff_limit
-        return order.limit_price + disc >= eff_limit
+    def _reaching(self, side: Side, eff_limit: int):
+        """Yield (level, entry) for each resting entry beyond a ``side`` taker's
+        ``eff_limit`` whose own discretion reaches it, in displayed-price order,
+        visible before hidden, until a level lies past its side's widest one."""
+        buy = side is _BUY
+        opp = _SELL if buy else _BUY
+        levels, index = self._levels[opp], self._index
+        max_disc = self._max_discretion[opp]
+        for price in self._best_first(opp):
+            gap = price - eff_limit if buy else eff_limit - price
+            if gap <= 0:
+                continue   # within the limit
+            if gap > max_disc:
+                return
+            level = levels[price]
+            for entry in chain(level.visible.values(), level.hidden.values()):
+                if index[entry[0]].discretion_offset >= gap:
+                    yield level, entry
 
     def _execute(self, taker: Order, qty: int, eff_limit: Optional[int]) -> tuple[list[Fill], int]:
         """Match best level first, visible before hidden; returns (fills, leftover)."""
@@ -685,25 +684,14 @@ class OrderBook:
         """Match resting orders whose discretion reaches the taker's limit.
 
         Trades print at the taker's effective limit; reach candidates rank
-        behind everything displayed at that price (already consumed) and are
-        walked in displayed-price order, visible before hidden.
+        behind everything displayed at that price (already consumed). A fresh
+        walk after each take finds an iceberg's refilled slice at its new place.
         """
         opp = taker.side.opposite
-        levels = self._levels[opp]
-        max_disc = self._max_discretion[opp]
         while qty > 0:
-            for price in self._best_first(opp):
-                if self._acceptable(taker.side, price, eff_limit):
-                    continue
-                if abs(price - eff_limit) > max_disc:
-                    return qty
-                level = levels[price]
-                entry = next((e for e in chain(level.visible.values(), level.hidden.values())
-                              if self._reaches(e[0], eff_limit)), None)
-                if entry is not None:
-                    break
-            else:
-                return qty
+            level, entry = next(self._reaching(taker.side, eff_limit), (None, None))
+            if level is None:
+                break
             qty = self._take(level, entry, taker, qty, eff_limit, fills)
             self._drop_if_empty(opp, level)
         return qty
@@ -836,9 +824,8 @@ class OrderBook:
         del self._stops[order.order_id]
         del self._index[order.order_id]
         converted = order._replace(kind=order.stop_kind)
-        if self.log is not None:
-            self._log("trigger", order.order_id, order.side._value_, order.stop_price,
-                      order.quantity, f"kind=stop,as={converted.kind._value_}")
+        self._log("trigger", order.order_id, order.side._value_, order.stop_price,
+                  order.quantity, f"kind=stop,as={converted.kind._value_}")
         if converted.kind is _MARKET and not self._prices[converted.side.opposite]:
             # nothing to hit: the stop dies rather than resting as a market order
             self._ledger[order.order_id][2] += order.quantity
@@ -855,8 +842,6 @@ class OrderBook:
         while True:
             for order in self._aons.values():
                 eff_limit = self._effective_limit(order)
-                if order.kind is _MARKET and not self._prices[order.side.opposite]:
-                    continue
                 if self._crossable(order.side, order.quantity, eff_limit) >= order.quantity:
                     break
             else:

@@ -455,7 +455,8 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
     elif scenario.cost is not None:   # only the frontier and the cost surface read it
         raise ScenarioError("inert section [cost_model]: no [optimizer] section")
 
-    scenario.tca = _make("tca", SECTIONS["tca"], TCAConfig, read("tca"))
+    if scenario.algo is not None or parser.has_section("tca"):   # without [algo], rejected below
+        scenario.tca = _make("tca", SECTIONS["tca"], TCAConfig, read("tca"))
     _validate(scenario)
     return scenario
 
@@ -463,7 +464,7 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
 def _validate(scenario: Scenario) -> None:
     if scenario.algo is None:
         for section in scenario.config:   # sections only the algorithm runner reads
-            if section == "parent" or section.startswith("venue:"):
+            if section in ("parent", "tca") or section.startswith("venue:"):
                 raise ScenarioError(f"inert section [{section}]: no [algo] section")
         if scenario.optimizer is None:
             raise ScenarioError("scenario describes nothing to run (no [algo], no [optimizer])")

@@ -39,11 +39,11 @@ PINNED = {
           "pov_quarter_day/report.csv": "801a1dde6986b6f81114690edebb8f61a9fbcc9c5e27f6a1bbbbe8df00a54af4",
           "pov_quarter_day/scenario_echo.ini": "fe91e4a66b7ac401345a532cee441fecb03b484adc95b2dd20671eb19e428be5",
           "pov_quarter_day/tca_report.txt": "bf7d72045a15786a856620b1e53c9195cff78e3d78d30ec321fe4d614b4f7e37",
-          "frontier_only/cost_surface.txt": "77bac54990994df1562de23fd6221b0257e1967bf57ea4fa85ed3fe9db48cdd3",
-          "frontier_only/frontier_arrival.txt": "51e39a7f21289051bab046bfc0eea8594fa6c5bfbf8573e3cce43ad4858ef357",
-          "frontier_only/frontier_previous_close.txt": "c4edca4c6ad2ccc05326e792e0122ee67093ce1b6bd877dab277b94a0168a20b",
-          "frontier_only/report.csv": "e1ec91214052b09c2a829739da4c20585bb3509b44cc13f5d831fc2a1a295603",
-          "frontier_only/scenario_echo.ini": "5ac289a950a6f17d74ee5c99eda2d36f738127c19b50bfcdc02b955af6285912",
+          "frontier_only/cost_surface.txt": "4d122398db45f1b32b45309d01e8de72fa244e36fe78646da635d6bd7e994ef2",
+          "frontier_only/frontier_arrival.txt": "25b2484ca48ef81e9ea566883a19b91512bba293b994cfdcc1e5a61735f170eb",
+          "frontier_only/frontier_previous_close.txt": "e7c2ce84494f366cbc0e2d33b0c238eed43bf83d3f047a7b84f30d293bdbbf69",
+          "frontier_only/report.csv": "ce08e01d23b1a6177f48b49e086134e8e8c9f5336762569123441f68ee122de5",
+          "frontier_only/scenario_echo.ini": "6d76538373671c046a60210c9eec60d5e45228057ec244f711e0bcf66cde050f",
           "routed_day/cost_surface.txt": "ff36b9d3a2d94c2cfb0a490eb8fe880ef7a54383ef81be522fcb5b349082825e",
           "routed_day/events_DARK1.log": "ca55f137f0b870ca0077ea568729f38dd9ca9bee6cd86a6644ae73e211595772",
           "routed_day/events_ECN1.log": "491b221f37fc017b0b5dcef8dd09292fe8bc24550e3a255b212879ca4ea6b9de",

@@ -336,6 +336,15 @@ class TestCli:
         assert "[optimizer].lambda_grid" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_tca_without_algo_rejected(self, tmp_path, capsys):
+        # a frontier-only run used to accept [tca], which nothing there reads
+        path = tmp_path / "frontier_tca.ini"
+        path.write_text((SCENARIOS / "frontier_only.ini").read_text() + "\n[tca]\nfixed = 5.0\n")
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_VALIDATION
+        assert "inert section [tca]: no [algo] section" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_run_has_no_format_option(self, tmp_path, capsys):
         # [scenario] format is part of the hashed echo; no flag overrides it
         with pytest.raises(SystemExit) as exc:

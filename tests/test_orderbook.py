@@ -234,6 +234,20 @@ class TestDiscretion:
         result = book.submit(limit("B1", Side.BUY, 51, 500, disc=1), clock=2)
         assert [(f.price, f.quantity) for f in result.fills] == [(52, 500)]
 
+    def test_each_reach_take_walks_afresh_to_the_refill(self):
+        # I's refills go behind V; each is found again by a fresh walk of the
+        # level, while V, which has no discretion, never trades at 99
+        book = OrderBook()
+        book.submit(limit("I", Side.SELL, 101, 30, display=10, disc=2), clock=1)
+        book.submit(limit("V", Side.SELL, 101, 7), clock=2)
+        result = book.submit(limit("B", Side.BUY, 99, 25), clock=3)
+        assert [(f.maker_order_id, f.price, f.quantity) for f in result.fills] == [
+            ("I", 99, 10), ("I", 99, 10), ("I", 99, 5)]
+        assert [(e.order_id, e.quantity) for e in displayed_queue(book, Side.SELL)] == [
+            ("V", 7), ("I", 5)]
+        assert book.remaining("I") == 5
+        book.check_invariants()
+
     def test_without_discretion_no_reach(self):
         book = self.build()
         book.cancel("S3")
@@ -421,6 +435,16 @@ class TestMarketWithProtection:
         mwp = Order(order_id="MWP", side=Side.BUY, kind=OrderKind.MARKET_WITH_PROTECTION,
                     quantity=100, protection_offset=1)
         assert book.submit(mwp, clock=2).disposition is Disposition.REJECTED
+
+    def test_sell_limit_stops_at_one_tick(self):
+        # 60 ticks through a trade at 51 would be a limit of -9
+        book = OrderBook()
+        book.submit(limit("S0", Side.SELL, 51, 100), clock=1)
+        book.submit(market("B0", Side.BUY, 10), clock=2)
+        result = book.submit(protected("MWP", Side.SELL, 10, 60), clock=3)
+        assert result.disposition is Disposition.RESTING
+        assert [lvl.price for lvl in book.snapshot().asks] == [1, 51]
+        book.check_invariants()
 
     def test_converted_order_keeps_display_and_discretion(self):
         book = OrderBook()
@@ -635,6 +659,8 @@ REJECTIONS = [
      "market order carries a limit_price"),
     ("protected-without-offset", {}, protected("P", Side.BUY, 10, None),
      "market-with-protection without protection_offset"),
+    ("protected-negative-offset", {}, protected("P", Side.BUY, 10, -1),
+     "protection_offset must be >= 0"),
     ("protected-without-reference", {"trade": False}, protected("P", Side.BUY, 10, 2),
      "market-with-protection without a reference trade price"),
     ("stop-without-stop-price", {}, stop("T", Side.BUY, 10, None),
@@ -677,6 +703,8 @@ PRECEDENCE = [
      market("M", Side.BUY, 10, tif=Tif.DAY), "market order into empty opposite side"),
     ("protected-without-offset-or-reference", {"trade": False}, protected("P", Side.BUY, 10, None),
      "market-with-protection without protection_offset"),
+    ("protected-negative-offset-without-reference", {"trade": False},
+     protected("P", Side.SELL, 10, -2), "protection_offset must be >= 0"),
     ("protected-without-reference-and-gat-without-start", {"trade": False},
      protected("P", Side.BUY, 10, 2, tif=Tif.GAT),
      "market-with-protection without a reference trade price"),

@@ -71,6 +71,13 @@ class TestLoad:
         assert "drift" not in arrival.echo()
         assert "drift = 0.0" in load_scenario(write(tmp_path, MINIMAL, "both.ini")).echo()
 
+    def test_frontier_only_echo_has_no_tca_block(self, tmp_path):
+        # only the algorithm runner reads [tca]; a frontier-only echo used to
+        # carry its defaults, so they moved the hash and changed no output
+        echo = load_scenario(write(tmp_path, MINIMAL)).echo()
+        assert "[tca]" not in echo and "fixed" not in echo
+        assert "[tca]\nfixed = 0.0\n" in load_scenario(write(tmp_path, FULL, "f.ini")).echo()
+
     def test_echo_reload_is_stable(self, tmp_path):
         s = load_scenario(write(tmp_path, FULL))
         echoed = write(tmp_path, s.echo(), name="echo.ini")

@@ -1,6 +1,7 @@
 """Re-measure the ROADMAP's Baseline claims: one subcommand per claim.
 
     python tools/probes.py book-ops
+    python tools/probes.py book-digest
 
 book-ops  CPU µs per passive limit, market order and cancel on a bare
           ``OrderBook`` with 10, 1k and 10k price levels per side, once with
@@ -11,14 +12,24 @@ book-ops  CPU µs per passive limit, market order and cancel on a bare
           does. Compare two commits only within one session, alternating
           runs.
 
+book-digest  SHA-256 over SEQUENCES seeded sequences (seeds 0 on) of
+          SEQUENCE_OPS operations each, drawn by ``tests/lob_driver.py``
+          against a fresh book: after each operation its return value, the
+          omniscient snapshot with priorities, every id's ledger and the ids
+          ``on_leave`` reported; after each sequence its event-log text. A
+          seeded probe: a change meant to keep the book's behaviour prints
+          the parent's digest.
+
 Run it from the root of a checkout: ``tradelab`` is imported from ``src/``.
-Standard library and ``tradelab`` only. Nothing here is gated.
+Standard library, ``tradelab`` and ``tests/lob_driver.py`` only. Nothing
+here is gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import random
 import sys
 import tempfile
@@ -26,8 +37,10 @@ import time
 from pathlib import Path
 from statistics import median
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from lob_driver import _next_op, _step  # noqa: E402
 from tradelab.orderbook import EventLog, Order, OrderBook, OrderKind, Side  # noqa: E402
 
 BASE_PRICE = 100_000       # ticks; asks sit above it, bids below
@@ -36,6 +49,8 @@ BOTTOMLESS = 10 ** 12      # the shares each level's first order rests, so no ma
 SEED = 1
 REPEATS = 7
 OPS = 2_000                # operations of each kind per repeat
+SEQUENCES = 5_000          # book-digest
+SEQUENCE_OPS = 60
 
 
 def _bare_book(levels: int, log) -> OrderBook:
@@ -97,13 +112,41 @@ def book_ops() -> None:
                 print(f"{levels:>7}  {log_kind:<5}  " + "  ".join(f"{c:>13}" for c in cells))
 
 
+def book_digest() -> None:
+    digest = hashlib.sha256()
+    for seed in range(SEQUENCES):
+        rng = random.Random(seed)
+        left: list[str] = []
+        book = OrderBook(session_close=10_000, log=EventLog(),
+                         on_leave=lambda _, oid: left.append(oid))
+        orders: dict[str, Order] = {}
+        clock = 0
+        for step in range(SEQUENCE_OPS):
+            clock += rng.randint(0, 3)
+            op = _next_op(rng, step, clock, book, orders)
+            if op[0] == "submit":
+                orders[op[1].order_id] = op[1]
+            left.clear()
+            result = _step(book, op)
+            digest.update(repr((result, book.snapshot(visibility="omniscient"),
+                                sorted((oid, book.ledger(oid)) for oid in orders),
+                                left)).encode())
+        digest.update(book.log.to_text().encode())
+    print(f"book-digest: {SEQUENCES} sequences of {SEQUENCE_OPS} operations: "
+          f"{digest.hexdigest()}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="probe", required=True)
     sub.add_parser("book-ops", help="µs per book operation against depth, with and "
                                     "without an event log")
-    parser.parse_args(argv)
-    book_ops()
+    sub.add_parser("book-digest", help="digest of every observable of seeded book "
+                                       "operation sequences")
+    if parser.parse_args(argv).probe == "book-ops":
+        book_ops()
+    else:
+        book_digest()
     return 0
 
 
